@@ -11,13 +11,14 @@
 //!   either `net-list call-file [io-file]` or a bare `.net` path,
 //!   resolved relative to the manifest's directory.
 //!
-//! Each job runs the full parse→doctor→place→route→emit pipeline on a
-//! worker pool with panic isolation, watchdog cancellation, retry
-//! with backoff for transient failures, and quarantine for poison
-//! inputs; see the crate-level docs of `netart-engine`. Outputs are
-//! written atomically (`.tmp` + rename), so an interrupted batch
-//! never leaves a partial diagram file. The aggregate
-//! [`BatchManifest`] goes to `--report-json`.
+//! Each job runs the full parse→doctor→place→route→emit pipeline on
+//! the engine's worker pool — the same pool, watchdog and panic
+//! isolation `netart serve` runs on — with retry and backoff for
+//! transient failures and quarantine for poison inputs; see the
+//! crate-level docs of `netart-engine`. Outputs are written
+//! atomically (`.tmp` + rename), so an interrupted batch never leaves
+//! a partial diagram file. The aggregate [`BatchManifest`] goes to
+//! `--report-json`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -511,7 +512,7 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         &inputs,
         &config,
         &drain,
-        |input, ctx| match jobs.get(input) {
+        move |input, ctx| match jobs.get(input) {
             Some(job) => attempt_job(
                 job,
                 ctx,

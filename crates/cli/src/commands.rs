@@ -14,8 +14,8 @@ use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::{Library, Network};
 use netart_govern::MemBudget;
 use netart::obs::{
-    DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber, ProfileReport,
-    ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
+    panic_message, DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber,
+    ProfileReport, ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
 };
 use netart_fault::FaultKind;
 use netart::place::{Pablo, PlaceConfig};
@@ -190,17 +190,6 @@ pub(crate) fn doctor_degradations(
     }
 }
 
-/// The panic payload as text (mirrors the core generator's handling).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs the parse phase with panic isolation. A failure (panic or
 /// error) that coincides with a newly fired fault site is retried once
 /// — the one-shot site has burned out — and recorded as a
@@ -217,7 +206,7 @@ fn parse_with_recovery<T>(
         Ok(Err(e)) if !fault_fired => return Err(e),
         Ok(Err(e)) => e.to_string(),
         Err(payload) if !fault_fired => std::panic::resume_unwind(payload),
-        Err(payload) => panic_message(payload),
+        Err(payload) => panic_message(&*payload),
     };
     let (value, mut degs) = op()?;
     degs.push(cli_degradation("parse_recovered", None, detail));
@@ -674,7 +663,7 @@ pub(crate) fn checked_escher(
             if netart_fault::fired_count() == fired_before {
                 std::panic::resume_unwind(payload);
             }
-            panic_message(payload)
+            panic_message(&*payload)
         }
     };
     if netart_fault::fired_count() == fired_before {
@@ -979,18 +968,7 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("no-salvage") {
         config = config.without_salvage();
     }
-    config = config.with_order(match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    });
+    config = config.with_order(args.parsed("order", NetOrder::Definition)?);
 
     let outcome = Generator::new()
         .with_routing(config)
@@ -1126,18 +1104,7 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("no-salvage") {
         route = route.without_salvage();
     }
-    route = route.with_order(match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    });
+    route = route.with_order(args.parsed("order", NetOrder::Definition)?);
 
     let outcome = netart::Generator::new()
         .with_placing(place)

@@ -212,18 +212,7 @@ pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
         Err(e) => return Err(e),
     };
 
-    let order = match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    };
+    let order = args.parsed("order", NetOrder::Definition)?;
     let route = RouteConfig::new()
         .with_margin(args.parsed("m", 4i32)?)
         .with_order(order)

@@ -57,7 +57,7 @@ use netart::obs::{
     ServeStatus, Telemetry,
 };
 use netart::place::PlaceConfig;
-use netart::route::{Budget, NetOrder, RouteConfig};
+use netart::route::{Budget, CancelToken, NetOrder, RouteConfig};
 use netart::diagram::svg;
 use netart_engine::{ByteCache, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome};
 
@@ -652,18 +652,18 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     };
     let order = match opt("order").and_then(Json::as_str) {
         None => state.default_options.order,
-        Some("def") => NetOrder::Definition,
-        Some("most") => NetOrder::MostPinsFirst,
-        Some("few") => NetOrder::FewestPinsFirst,
-        Some(other) => {
-            count(&state.counters.failed);
-            return HttpReply::report(
-                422,
-                &ServeReport::failure(format!(
-                    "options.order must be def|most|few, not {other:?}"
-                )),
-            );
-        }
+        Some(name) => match name.parse() {
+            Ok(order) => order,
+            Err(_) => {
+                count(&state.counters.failed);
+                return HttpReply::report(
+                    422,
+                    &ServeReport::failure(format!(
+                        "options.order must be def|most|few, not {name:?}"
+                    )),
+                );
+            }
+        },
     };
     let timeout = match opt("timeout_ms").map(|j| j.as_u64().ok_or(())) {
         None | Some(Ok(0)) => state.default_timeout,
@@ -1164,18 +1164,7 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         };
 
     let margin = args.parsed("m", 4i32)?;
-    let order = match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    };
+    let order = args.parsed("order", NetOrder::Definition)?;
     let timeout_ceiling = parse_millis(&args, "timeout-ceiling", 30_000)?;
     let default_timeout = parse_millis(&args, "default-timeout", 10_000)?.min(timeout_ceiling);
     let drain_grace = parse_millis(&args, "drain-grace", 5_000)?;
@@ -1232,7 +1221,9 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         telemetry: Arc::clone(&telemetry),
         mem_budget: Arc::clone(&mem_budget),
     };
-    let service = Service::new(&config, move |job, ctx| handle_job(&handler_state, job, ctx));
+    let service = Service::new(&config, CancelToken::new(), move |job, ctx| {
+        handle_job(&handler_state, job, ctx)
+    });
     let shard = shard_identity.map(|(index, count)| {
         let fleet = Arc::new(FleetView::new(count as usize));
         // Supervisor broadcasts arrive over stdin; increases of the

@@ -64,8 +64,8 @@ use netart_diagram::{Diagram, Placement};
 use netart_geom::{Point, Rotation};
 use netart_netlist::{NetId, Network};
 use netart_obs::{
-    DegradationReport, Metrics, MetricsSnapshot, NetReport, NetworkReport, QualityReport,
-    RunReport,
+    panic_message, DegradationReport, Metrics, MetricsSnapshot, NetReport, NetworkReport,
+    QualityReport, RunReport,
 };
 use netart_place::{Pablo, PlaceConfig};
 use netart_route::{Eureka, RouteConfig, RouteReport, SalvageStep};
@@ -395,17 +395,6 @@ fn fill_metrics(
     }
 }
 
-/// Renders a caught panic payload as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The placement of last resort: every unplaced module on a plain grid
 /// (row-major, square-ish), every unplaced system terminal along the
 /// left edge. Ugly but complete, so routing can still run.
@@ -535,7 +524,7 @@ impl Generator {
             })) {
                 Ok(p) => p,
                 Err(payload) => {
-                    let msg = panic_message(payload);
+                    let msg = panic_message(&*payload);
                     error!("placement panicked, using fallback grid", detail = msg.as_str());
                     degradations.push(Degradation::PlacementRecovered(msg));
                     fallback_grid_placement(&network, preplaced)
@@ -563,7 +552,7 @@ impl Generator {
                     report
                 }
                 Err(payload) => {
-                    let msg = panic_message(payload);
+                    let msg = panic_message(&*payload);
                     error!("routing panicked, diagram left unrouted", detail = msg.as_str());
                     degradations.push(Degradation::RoutingAborted(msg));
                     RouteReport {
@@ -645,7 +634,7 @@ impl Generator {
             panic::catch_unwind(AssertUnwindSafe(|| {
                 Eureka::new(self.route.clone()).route(&mut diagram)
             }))
-            .map_err(|payload| PipelineError::RoutingPanicked(panic_message(payload)))?
+            .map_err(|payload| PipelineError::RoutingPanicked(panic_message(&*payload)))?
         };
         let route_time = t1.elapsed();
         let degradations = route_degradations(diagram.network(), &report);

@@ -1,27 +1,30 @@
-//! `netart-engine` — the resilient batch execution layer.
+//! `netart-engine` — the resilient execution layer behind `netart
+//! batch` and `netart serve`.
 //!
 //! The per-run robustness work (budgets, salvage, the doctor, fault
 //! injection) hardens *one* pipeline invocation; this crate makes a
-//! *fleet* of invocations survivable. It runs a set of jobs through a
-//! caller-supplied pipeline function on a std-thread worker pool, with:
+//! *fleet* of invocations survivable. Both front ends run on one
+//! resident worker pool, [`Service`], which owns the engine's only
+//! watchdog and only panic boundary:
 //!
-//! * a bounded job queue whose blocking `push` is the admission
-//!   control ([`queue::BoundedQueue`]);
-//! * per-job panic isolation — a panicking job is an attempt failure,
-//!   never a dead worker;
-//! * a wall-clock watchdog per attempt that trips a cooperative
+//! * admission control on a bounded queue that sheds instead of
+//!   queueing unboundedly ([`queue::BoundedQueue`]);
+//! * per-request panic isolation — a panicking handler resolves its
+//!   [`Ticket`] as [`TicketOutcome::Panicked`], never a dead worker;
+//! * a wall-clock watchdog that trips each request's cooperative
 //!   [`CancelToken`] (threaded by the caller into
-//!   `route::BudgetMeter`), so a hung net cannot wedge a worker;
-//! * retry with exponential backoff and deterministic jitter for
-//!   *transient* failures, and a circuit breaker that quarantines
-//!   inputs which fail every retry;
-//! * graceful drain: when the drain token trips (SIGINT/SIGTERM in
-//!   the CLI), in-flight jobs get a grace period to finish before
-//!   their tokens are cancelled, and still-queued jobs are recorded
-//!   as `skipped` — the manifest is always complete.
+//!   `route::BudgetMeter`) at its deadline, so a hung net cannot
+//!   wedge a worker;
+//! * graceful drain: once the drain token trips, in-flight requests
+//!   get a grace period to finish before their tokens are cancelled.
 //!
-//! The outcome is a deterministic [`BatchManifest`]: records sorted
-//! by input path, every wall-clock quantity strippable via
+//! [`run`] is the batch policy over that pool: one ticket per
+//! attempt, retry with exponential backoff and deterministic jitter
+//! for *transient* failures, a circuit breaker that quarantines
+//! inputs which fail every retry, and `skipped` records for jobs not
+//! started before drain — the manifest is always complete. The
+//! outcome is a deterministic [`BatchManifest`]: records sorted by
+//! input path, every wall-clock quantity strippable via
 //! [`BatchManifest::normalized`], so `--jobs N` and `--jobs 1` runs
 //! compare byte-for-byte.
 
@@ -34,8 +37,8 @@ mod queue;
 mod service;
 mod supervisor;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::catch_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -67,9 +70,6 @@ pub struct EngineConfig {
     pub backoff_base: Duration,
     /// Upper bound on any retry delay.
     pub backoff_cap: Duration,
-    /// Queued (not yet running) jobs admitted at once; `None` means
-    /// twice the worker count.
-    pub queue_depth: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -81,7 +81,6 @@ impl Default for EngineConfig {
             drain_grace: Duration::from_secs(5),
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(2),
-            queue_depth: None,
         }
     }
 }
@@ -100,8 +99,8 @@ pub struct JobContext {
     /// accept a degraded result here that it would retry otherwise.
     pub last_attempt: bool,
     /// How long the request sat in the admission queue before a
-    /// worker picked it up. Zero for engines without a queue (the
-    /// batch pool starts attempts immediately).
+    /// worker picked it up. Near zero for [`run`]'s attempts, which
+    /// are submitted only when a worker is free.
     pub queue_wait: Duration,
 }
 
@@ -154,9 +153,9 @@ pub type QuarantineHook = Box<dyn Fn(&JobRecord) + Send + Sync>;
 static QUARANTINE_HOOK: Mutex<Option<QuarantineHook>> = Mutex::new(None);
 
 /// Installs (with `Some`) or clears (with `None`) the process-wide
-/// quarantine hook. The hook runs on the worker thread that exhausted
-/// the job's retries, after the quarantined [`JobRecord`] is fully
-/// built but before it lands in the manifest — keep it cheap and never
+/// quarantine hook. The hook runs on the thread that exhausted the
+/// job's retries, after the quarantined [`JobRecord`] is fully built
+/// but before it lands in the manifest — keep it cheap and never
 /// panic inside it.
 pub fn set_quarantine_hook(hook: Option<QuarantineHook>) {
     *QUARANTINE_HOOK
@@ -175,15 +174,6 @@ fn notify_quarantine(record: &JobRecord) {
     }
 }
 
-/// One watchdog slot: the in-flight attempt of one worker.
-struct Watch {
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-}
-
-/// How often the watchdog scans in-flight attempts.
-const WATCHDOG_TICK: Duration = Duration::from_millis(10);
-
 /// FNV-1a, the deterministic jitter source: two runs of the same
 /// batch back off identically, keeping retries reproducible.
 fn fnv1a(input: &str, attempt: u32) -> u64 {
@@ -195,11 +185,11 @@ fn fnv1a(input: &str, attempt: u32) -> u64 {
     h
 }
 
-/// The backoff schedule itself, parameterised by its knobs so other
-/// supervising layers (the serve shard supervisor's respawn loop)
-/// share the exact engine behaviour: exponential in the 1-based
-/// `attempt` with a +0‥25% jitter derived deterministically from
-/// `seed`, capped at `cap` (before jitter).
+/// The delay before retry number `attempt + 1`, parameterised by its
+/// knobs so other supervising layers (the serve shard supervisor's
+/// respawn loop) share the exact engine behaviour: exponential in the
+/// 1-based `attempt` with a +0‥25% jitter derived deterministically
+/// from `seed`, capped at `cap` (before jitter).
 pub fn backoff_schedule(base: Duration, cap: Duration, seed: &str, attempt: u32) -> Duration {
     let grown = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
     let grown = grown.min(cap);
@@ -210,12 +200,6 @@ pub fn backoff_schedule(base: Duration, cap: Duration, seed: &str, attempt: u32)
     grown + Duration::from_nanos(fnv1a(seed, attempt) % jitter_span)
 }
 
-/// The delay before retry number `attempt + 1`: exponential in the
-/// attempt with a ±25% deterministic jitter, capped.
-fn backoff_delay(config: &EngineConfig, input: &str, attempt: u32) -> Duration {
-    backoff_schedule(config.backoff_base, config.backoff_cap, input, attempt)
-}
-
 /// Sleeps for `total`, waking early when `drain` trips.
 fn interruptible_sleep(total: Duration, drain: &CancelToken) {
     let deadline = Instant::now() + total;
@@ -224,20 +208,16 @@ fn interruptible_sleep(total: Duration, drain: &CancelToken) {
             return;
         }
         let left = deadline.saturating_duration_since(Instant::now());
-        std::thread::sleep(left.min(WATCHDOG_TICK));
+        std::thread::sleep(left.min(service::WATCHDOG_TICK));
     }
 }
 
-/// Extracts a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
-}
+/// One attempt as submitted to the pool: input, attempt number, and
+/// whether it is the last one.
+type Attempt = (String, u32, bool);
+
+/// The batch pool: one [`Service`] whose handler runs one attempt.
+type Pool = Service<Attempt, Result<JobSuccess, JobFailure>>;
 
 /// Runs every `input` through `job` and aggregates the outcomes.
 ///
@@ -245,7 +225,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `ctx.cancel`; it may be called multiple times for the same input
 /// (retries). A panicking call counts as a transient attempt failure.
 /// `drain` is the external stop signal (the CLI trips it from its
-/// SIGINT/SIGTERM handler); `tool` names the manifest producer.
+/// SIGINT/SIGTERM handler); the pool honours it directly, and shutting
+/// the pool down leaves it tripped. `tool` names the manifest producer.
+///
+/// Each attempt is one [`Service`] ticket whose deadline is
+/// `config.job_timeout`. `workers` driver threads each keep at most
+/// one ticket outstanding, so an attempt never waits for a worker
+/// and the deadline bounds the attempt alone. The drivers run no
+/// user code; they only classify outcomes, back off, retry and
+/// quarantine.
 ///
 /// Always returns a complete manifest: one record per input, sorted
 /// by input path, whatever happened.
@@ -257,152 +245,18 @@ pub fn run<F>(
     job: F,
 ) -> BatchManifest
 where
-    F: Fn(&str, &JobContext) -> Result<JobSuccess, JobFailure> + Send + Sync,
+    F: Fn(&str, &JobContext) -> Result<JobSuccess, JobFailure> + Send + Sync + 'static,
 {
     let started = Instant::now();
     let workers = (config.workers.max(1) as usize).min(inputs.len().max(1));
-    let depth = config.queue_depth.unwrap_or(workers * 2);
-    let queue: BoundedQueue<usize> = BoundedQueue::new(depth);
-    let records: Mutex<Vec<JobRecord>> = Mutex::new(Vec::with_capacity(inputs.len()));
-    let slots: Vec<Mutex<Option<Watch>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let done = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        // Watchdog: cancels attempts past their deadline, and every
-        // in-flight attempt once the drain grace has expired.
-        s.spawn(|| {
-            let mut drain_deadline: Option<Instant> = None;
-            while !done.load(Ordering::Acquire) {
-                let now = Instant::now();
-                if drain.is_cancelled() && drain_deadline.is_none() {
-                    drain_deadline = Some(now + config.drain_grace);
-                }
-                let drain_expired = drain_deadline.is_some_and(|d| now >= d);
-                for slot in &slots {
-                    let guard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(watch) = guard.as_ref() {
-                        if drain_expired || watch.deadline.is_some_and(|d| now >= d) {
-                            watch.cancel.cancel();
-                        }
-                    }
-                }
-                std::thread::sleep(WATCHDOG_TICK);
-            }
-        });
-
-        let worker_handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queue = &queue;
-                let records = &records;
-                let slot = &slots[w];
-                let job = &job;
-                s.spawn(move || {
-                    while let Some(idx) = queue.pop() {
-                        let input = inputs[idx].as_str();
-                        let record = if drain.is_cancelled() {
-                            skipped_record(input)
-                        } else {
-                            run_job(input, config, drain, slot, job)
-                        };
-                        records
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(record);
-                    }
-                })
-            })
-            .collect();
-
-        // The dispatcher runs inline: a full queue blocks it here —
-        // admission control for arbitrarily long manifests.
-        for idx in 0..inputs.len() {
-            if queue.push(idx).is_err() {
-                break;
-            }
-        }
-        queue.close();
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
-        done.store(true, Ordering::Release);
-    });
-
-    // Insurance against a lost worker (a panic outside the job's
-    // catch_unwind): any index still queued becomes a skipped record,
-    // so the manifest stays complete.
-    let mut records = records.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    while let Some(idx) = queue.try_pop() {
-        records.push(skipped_record(inputs[idx].as_str()));
-    }
-
-    // Aggregation fault point: the manifest build must survive an
-    // injected panic just like a job must.
-    if catch_unwind(|| netart_fault::fire_hard(netart_fault::sites::ENGINE_MANIFEST)).is_err() {
-        warn!("injected fault at manifest aggregation survived");
-    }
-
-    let mut manifest = BatchManifest::new(tool, workers as u32, drain.is_cancelled(), records);
-    manifest.summary.duration_ns = started.elapsed().as_nanos() as u64;
-    manifest
-}
-
-fn skipped_record(input: &str) -> JobRecord {
-    JobRecord {
-        input: input.to_owned(),
-        status: JobStatus::Skipped,
-        attempts: 0,
-        duration_ns: 0,
-        degradations: 0,
-        error: None,
-        quarantine: None,
-        report: None,
-    }
-}
-
-/// Runs one job to a terminal status: attempts with watchdog
-/// registration, panic isolation, retry classification, backoff, and
-/// the quarantine circuit breaker.
-fn run_job<F>(
-    input: &str,
-    config: &EngineConfig,
-    drain: &CancelToken,
-    slot: &Mutex<Option<Watch>>,
-    job: &F,
-) -> JobRecord
-where
-    F: Fn(&str, &JobContext) -> Result<JobSuccess, JobFailure> + Send + Sync,
-{
-    let started = Instant::now();
-    let max_attempts = config.max_attempts.max(1);
-    let mut last_error = String::new();
-    let mut attempts = 0;
-
-    for attempt in 1..=max_attempts {
-        attempts = attempt;
-        let cancel = CancelToken::new();
-        let ctx = JobContext {
-            cancel: cancel.clone(),
-            attempt,
-            last_attempt: attempt == max_attempts,
-            queue_wait: Duration::ZERO,
-        };
-        // If drain was requested with no grace left, don't start.
-        if drain.is_cancelled() && config.drain_grace.is_zero() {
-            return finish(
-                input,
-                JobStatus::Failed,
-                attempt - 1,
-                started,
-                0,
-                Some("cancelled before attempt (drain)".to_owned()),
-                None,
-            );
-        }
-        *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Watch {
-            cancel: cancel.clone(),
-            deadline: config.job_timeout.map(|t| Instant::now() + t),
-        });
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let service: Pool = Service::new(
+        &ServiceConfig {
+            workers: workers as u32,
+            queue_depth: workers,
+            drain_grace: config.drain_grace,
+        },
+        drain.clone(),
+        move |(input, attempt, last_attempt): Attempt, ctx| {
             // Worker-isolation fault point: fires per attempt, before
             // the pipeline.
             if let Some(kind) = netart_fault::fire(netart_fault::sites::ENGINE_JOB) {
@@ -410,12 +264,83 @@ where
                     "injected `{kind}` fault at engine.job"
                 )));
             }
-            job(input, &ctx)
-        }));
-        *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+            let ctx = JobContext {
+                attempt,
+                last_attempt,
+                ..ctx.clone()
+            };
+            job(&input, &ctx)
+        },
+    );
+    // Hands out input indices; `Relaxed` because it publishes no data.
+    let next = AtomicUsize::new(0);
+    let records: Mutex<Vec<JobRecord>> = Mutex::new(Vec::with_capacity(inputs.len()));
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let Some(input) = inputs.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    return;
+                };
+                let record = run_job(input, config, drain, &service);
+                records
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .push(record);
+            });
+        }
+    });
+    // Read before shutdown, which trips the drain token itself.
+    let drained = drain.is_cancelled();
+    service.shutdown();
+
+    // Aggregation fault point: the manifest build must survive an
+    // injected panic just like a job must.
+    if catch_unwind(|| netart_fault::fire_hard(netart_fault::sites::ENGINE_MANIFEST)).is_err() {
+        warn!("injected fault at manifest aggregation survived");
+    }
+
+    let records = records.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut manifest = BatchManifest::new(tool, workers as u32, drained, records);
+    manifest.summary.duration_ns = started.elapsed().as_nanos() as u64;
+    manifest
+}
+
+/// Runs one job to a terminal status: one ticket per attempt, retry
+/// classification, backoff, and the quarantine circuit breaker.
+fn run_job(input: &str, config: &EngineConfig, drain: &CancelToken, service: &Pool) -> JobRecord {
+    let started = Instant::now();
+    let max_attempts = config.max_attempts.max(1);
+    let mut last_error = String::new();
+
+    for attempt in 1..=max_attempts {
+        let request = (input.to_owned(), attempt, attempt == max_attempts);
+        let outcome = match service.submit(request, config.job_timeout) {
+            Ok((ticket, _)) => ticket.wait(),
+            // A refusal means drain: each driver holds at most one
+            // ticket and `queue_depth == workers`, so the queue is never
+            // full. A job never started is skipped; one between
+            // attempts (backoff included) is cancelled.
+            Err(_) if attempt == 1 => {
+                return JobRecord {
+                    duration_ns: 0,
+                    ..finish(input, JobStatus::Skipped, 0, started, 0, None, None)
+                };
+            }
+            Err(_) => {
+                return finish(
+                    input,
+                    JobStatus::Failed,
+                    attempt - 1,
+                    started,
+                    0,
+                    Some(format!("cancelled before retry (drain): {last_error}")),
+                    None,
+                );
+            }
+        };
 
         let failure = match outcome {
-            Ok(Ok(success)) => {
+            TicketOutcome::Finished(Ok(success)) => {
                 let status = if success.degradations == 0 {
                     JobStatus::Ok
                 } else {
@@ -431,8 +356,8 @@ where
                     success.report,
                 );
             }
-            Ok(Err(failure)) => failure,
-            Err(payload) => JobFailure::transient(panic_message(payload.as_ref())),
+            TicketOutcome::Finished(Err(failure)) => failure,
+            TicketOutcome::Panicked(message) => JobFailure::transient(message),
         };
         last_error = failure.message.clone();
         debug!(
@@ -460,18 +385,8 @@ where
             return finish(input, JobStatus::Failed, attempt, started, 0, Some(last_error), None);
         }
         if attempt < max_attempts {
-            interruptible_sleep(backoff_delay(config, input, attempt), drain);
-            if drain.is_cancelled() {
-                return finish(
-                    input,
-                    JobStatus::Failed,
-                    attempt,
-                    started,
-                    0,
-                    Some(format!("cancelled before retry (drain): {last_error}")),
-                    None,
-                );
-            }
+            let delay = backoff_schedule(config.backoff_base, config.backoff_cap, input, attempt);
+            interruptible_sleep(delay, drain);
         }
     }
 
@@ -479,20 +394,20 @@ where
     warn!(
         "job quarantined",
         input = input,
-        attempts = attempts as u64,
+        attempts = max_attempts as u64,
         error = last_error.as_str(),
     );
     let mut record = finish(
         input,
         JobStatus::Quarantined,
-        attempts,
+        max_attempts,
         started,
         0,
         Some(last_error.clone()),
         None,
     );
     record.quarantine = Some(QuarantineReport {
-        after_attempts: attempts,
+        after_attempts: max_attempts,
         symptom: last_error,
     });
     notify_quarantine(&record);
@@ -525,6 +440,7 @@ fn finish(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     fn fast_config(workers: u32) -> EngineConfig {
         EngineConfig {
@@ -579,14 +495,15 @@ mod tests {
 
     #[test]
     fn transient_failure_retries_then_succeeds() {
-        let calls = AtomicU32::new(0);
+        let calls = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&calls);
         let manifest = run(
             "test",
             &inputs(&["flaky"]),
             &fast_config(1),
             &CancelToken::new(),
-            |_, ctx| {
-                calls.fetch_add(1, Ordering::Relaxed);
+            move |_, ctx| {
+                counter.fetch_add(1, Ordering::Relaxed);
                 if ctx.attempt < 2 {
                     Err(JobFailure::transient("transient hiccup"))
                 } else {
@@ -628,7 +545,6 @@ mod tests {
 
     #[test]
     fn quarantine_hook_fires_once_per_quarantined_job() {
-        use std::sync::Arc;
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         set_quarantine_hook(Some(Box::new(move |record| {
@@ -663,14 +579,15 @@ mod tests {
 
     #[test]
     fn permanent_failure_fails_without_retry() {
-        let calls = AtomicU32::new(0);
+        let calls = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&calls);
         let manifest = run(
             "test",
             &inputs(&["broken"]),
             &fast_config(1),
             &CancelToken::new(),
-            |_, _| {
-                calls.fetch_add(1, Ordering::Relaxed);
+            move |_, _| {
+                counter.fetch_add(1, Ordering::Relaxed);
                 Err(JobFailure::permanent("parse error"))
             },
         );
@@ -807,16 +724,71 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_and_capped() {
         let config = EngineConfig::default();
-        assert_eq!(
-            backoff_delay(&config, "same", 2),
-            backoff_delay(&config, "same", 2)
-        );
-        assert_ne!(
-            backoff_delay(&config, "same", 1),
-            backoff_delay(&config, "other", 1),
-            "jitter varies by input"
-        );
-        let big = backoff_delay(&config, "x", 30);
+        let delay = |input: &str, attempt: u32| {
+            backoff_schedule(config.backoff_base, config.backoff_cap, input, attempt)
+        };
+        assert_eq!(delay("same", 2), delay("same", 2));
+        assert_ne!(delay("same", 1), delay("other", 1), "jitter varies by input");
+        let big = delay("x", 30);
         assert!(big <= config.backoff_cap + config.backoff_cap / 4);
+    }
+
+    #[test]
+    fn job_timeout_bounds_each_attempt_not_the_wait_for_a_worker() {
+        // Three 40 ms jobs on one worker take 120 ms in all; a 100 ms
+        // timeout must measure each attempt from its own start.
+        let config = EngineConfig {
+            max_attempts: 1,
+            job_timeout: Some(Duration::from_millis(100)),
+            ..fast_config(1)
+        };
+        let manifest = run(
+            "test",
+            &inputs(&["a", "b", "c"]),
+            &config,
+            &CancelToken::new(),
+            |_, ctx| {
+                let started = Instant::now();
+                while started.elapsed() < Duration::from_millis(40) {
+                    if ctx.cancel.is_cancelled() {
+                        return Err(JobFailure::transient("cancelled by watchdog"));
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(JobSuccess::default())
+            },
+        );
+        assert_eq!(manifest.summary.ok, 3, "{:?}", manifest.jobs);
+    }
+
+    #[test]
+    fn drain_during_backoff_ends_the_job_without_waiting_out_the_delay() {
+        let config = EngineConfig {
+            backoff_base: Duration::from_secs(30),
+            backoff_cap: Duration::from_secs(30),
+            ..fast_config(1)
+        };
+        let drain = CancelToken::new();
+        let trip = {
+            let drain = drain.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                drain.cancel();
+            })
+        };
+        let started = Instant::now();
+        let manifest = run(
+            "test",
+            &inputs(&["flaky"]),
+            &config,
+            &drain,
+            |_, _| Err(JobFailure::transient("transient hiccup")),
+        );
+        trip.join().unwrap();
+        assert!(started.elapsed() < Duration::from_secs(5), "waited out the backoff");
+        let job = &manifest.jobs[0];
+        assert_eq!(job.status, JobStatus::Failed);
+        assert_eq!(job.attempts, 1);
+        assert!(job.error.as_deref().unwrap().contains("drain"), "{:?}", job.error);
     }
 }

@@ -1,9 +1,7 @@
-//! A bounded MPMC job queue with blocking admission control.
+//! A bounded MPMC request queue with load-shedding admission control.
 //!
-//! `push` blocks while the queue is at capacity — that *is* the
-//! admission control: the dispatcher cannot race ahead of the workers
-//! by more than the configured depth, so a huge manifest never
-//! materialises in memory as a huge in-flight backlog. `pop` blocks
+//! `try_push` never blocks: a full queue hands the item straight back,
+//! so overload sheds instead of queueing unboundedly. `pop` blocks
 //! until an item arrives or the queue is closed and empty.
 
 use std::collections::VecDeque;
@@ -28,7 +26,6 @@ pub enum TryPushError<T> {
 pub struct BoundedQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
-    not_full: Condvar,
     not_empty: Condvar,
 }
 
@@ -42,33 +39,12 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::new(),
                 closed: false,
             }),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Returns the
-    /// item back if the queue has been closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// Dequeues the next item, blocking until one arrives. `None`
@@ -78,7 +54,6 @@ impl<T> BoundedQueue<T> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
                 return Some(item);
             }
             if state.closed {
@@ -91,10 +66,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueues `item` without blocking — the load-shedding admission
-    /// path of `netart serve`. A full or closed queue hands the item
-    /// back immediately instead of queueing unboundedly; the caller
-    /// turns that into a `429`/`503`.
+    /// Enqueues `item` without blocking. A full or closed queue hands
+    /// the item back immediately instead of queueing unboundedly;
+    /// `netart serve` turns that into a `429`/`503`.
     pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
         let mut state = self.lock();
         if state.closed {
@@ -119,21 +93,10 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Dequeues without blocking; `None` when empty (closed or not).
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        let item = state.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Closes the queue: pending `push`es fail, `pop` drains what is
+    /// Closes the queue: later `try_push`es fail, `pop` drains what is
     /// left and then returns `None`.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 }
@@ -146,36 +109,24 @@ mod tests {
     #[test]
     fn fifo_within_capacity() {
         let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
-        q.push(7).unwrap();
+        q.try_push(7).unwrap();
         q.close();
-        assert_eq!(q.push(8), Err(8), "closed queue rejects pushes");
+        assert!(
+            matches!(q.try_push(8), Err(TryPushError::Closed(8))),
+            "closed queue rejects pushes"
+        );
         assert_eq!(q.pop(), Some(7), "items queued before close drain");
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn capacity_blocks_the_producer_until_a_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(2))
-        };
-        // The producer is stuck on admission control until we consume.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
-        producer.join().unwrap().unwrap();
-        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The resident request service behind `netart serve`.
+//! The resident worker pool behind `netart serve` and `netart batch`.
 //!
-//! [`run`](crate::run) is batch-shaped: the whole input list is known
-//! up front and the call returns when everything finished. A server
-//! needs the opposite — requests arrive one at a time, forever — so a
-//! [`Service`] keeps the same machinery resident:
+//! Requests arrive one at a time: the server submits one per HTTP
+//! request, [`run`](crate::run) one per batch attempt. A [`Service`]
+//! is the engine's only pool, watchdog and panic boundary:
 //!
 //! * **admission control**: [`Service::submit`] *tries* to enqueue on
 //!   the bounded queue and hands the request straight back when the
@@ -17,10 +16,12 @@
 //! * **panic isolation**: the handler runs under `catch_unwind`; a
 //!   panicking request resolves its [`Ticket`] as
 //!   [`TicketOutcome::Panicked`] and the worker lives on;
-//! * **graceful drain**: [`Service::drain`] stops admission and lets
-//!   in-flight plus already-queued requests finish; once the drain
-//!   grace expires the watchdog cancels whatever is still running, so
-//!   drain completes within the grace bound.
+//! * **graceful drain**: once the drain token passed to
+//!   [`Service::new`] trips (or [`Service::drain`] trips it),
+//!   admission stops and in-flight plus already-queued requests may
+//!   finish; once the drain grace expires the watchdog cancels
+//!   whatever is still running, so drain completes within the grace
+//!   bound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -28,8 +29,20 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use netart_obs::panic_message;
+
 use crate::queue::{BoundedQueue, TryPushError};
-use crate::{panic_message, JobContext, Watch, CancelToken, WATCHDOG_TICK};
+use crate::{CancelToken, JobContext};
+
+/// How often the watchdog scans in-flight requests (and how finely
+/// [`run`](crate::run)'s backoff sleep notices drain).
+pub(crate) const WATCHDOG_TICK: Duration = Duration::from_millis(10);
+
+/// One watchdog slot: the in-flight request of one worker.
+struct Watch {
+    cancel: CancelToken,
+    deadline: Option<Instant>,
+}
 
 /// Tuning knobs for a resident [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +53,8 @@ pub struct ServiceConfig {
     /// the `try_submit` bound that turns overload into `429`s. Clamped
     /// to at least 1.
     pub queue_depth: usize,
-    /// How long in-flight requests may keep running after
-    /// [`Service::drain`] before their tokens are cancelled.
+    /// How long in-flight requests may keep running after the drain
+    /// token trips before their tokens are cancelled.
     pub drain_grace: Duration,
 }
 
@@ -124,7 +137,7 @@ struct Task<Req, R> {
 struct ServiceShared<Req, R> {
     queue: BoundedQueue<Task<Req, R>>,
     watches: Vec<Mutex<Option<Watch>>>,
-    draining: AtomicBool,
+    drain: CancelToken,
     stopped: AtomicBool,
     workers_alive: AtomicUsize,
     in_flight: AtomicUsize,
@@ -141,10 +154,11 @@ pub struct Service<Req: Send + 'static, R: Send + 'static> {
 impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
     /// Boots the worker pool and watchdog. `handler` runs once per
     /// admitted request with a [`JobContext`] whose token it must
-    /// thread into its budget meters (`attempt` is always 1 — a
-    /// server answers now or degraded, it does not retry while the
-    /// client waits).
-    pub fn new<F>(config: &ServiceConfig, handler: F) -> Self
+    /// thread into its budget meters (`attempt` is always 1; callers
+    /// that retry say so in the request). `drain` is the stop signal
+    /// the service honours: once it trips, admission closes and the
+    /// drain-grace clock starts.
+    pub fn new<F>(config: &ServiceConfig, drain: CancelToken, handler: F) -> Self
     where
         F: Fn(Req, &JobContext) -> R + Send + Sync + 'static,
     {
@@ -152,7 +166,7 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
         let shared = Arc::new(ServiceShared {
             queue: BoundedQueue::new(config.queue_depth),
             watches: (0..workers).map(|_| Mutex::new(None)).collect(),
-            draining: AtomicBool::new(false),
+            drain,
             stopped: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(workers),
             in_flight: AtomicUsize::new(0),
@@ -209,7 +223,7 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
                 let mut drain_deadline: Option<Instant> = None;
                 while !shared.stopped.load(Ordering::Acquire) {
                     let now = Instant::now();
-                    if shared.draining.load(Ordering::Acquire) && drain_deadline.is_none() {
+                    if shared.drain.is_cancelled() && drain_deadline.is_none() {
                         drain_deadline = Some(now + shared.drain_grace);
                     }
                     let drain_expired = drain_deadline.is_some_and(|d| now >= d);
@@ -236,13 +250,13 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
     /// # Errors
     ///
     /// [`SubmitError::Busy`] when the queue is full,
-    /// [`SubmitError::Draining`] once [`Service::drain`] was called.
+    /// [`SubmitError::Draining`] once the drain token has tripped.
     pub fn submit(
         &self,
         req: Req,
         deadline: Option<Duration>,
     ) -> Result<(Ticket<R>, CancelToken), SubmitError> {
-        if self.shared.draining.load(Ordering::Acquire) {
+        if self.shared.drain.is_cancelled() {
             return Err(SubmitError::Draining);
         }
         let cancel = CancelToken::new();
@@ -264,19 +278,19 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
         }
     }
 
-    /// Stops admission and closes the queue. In-flight and
+    /// Trips the drain token and closes the queue. In-flight and
     /// already-queued requests keep running until done or until the
     /// drain grace expires and the watchdog cancels them; either way
     /// every outstanding [`Ticket`] resolves.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.drain.cancel();
         self.shared.queue.close();
     }
 
     /// Whether a started drain has finished: admission is closed and
     /// every worker has exited (queue empty, nothing in flight).
     pub fn drained(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.drain.is_cancelled()
             && self.shared.workers_alive.load(Ordering::SeqCst) == 0
     }
 
@@ -331,7 +345,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn echo_service(config: &ServiceConfig) -> Service<u32, u32> {
-        Service::new(config, |req, _ctx| req * 2)
+        Service::new(config, CancelToken::new(), |req, _ctx| req * 2)
     }
 
     #[test]
@@ -359,6 +373,7 @@ mod tests {
                 queue_depth: 1,
                 ..ServiceConfig::default()
             },
+            CancelToken::new(),
             move |req, _ctx| {
                 started_tx.send(()).ok();
                 release_rx
@@ -394,6 +409,7 @@ mod tests {
                 queue_depth: 2,
                 ..ServiceConfig::default()
             },
+            CancelToken::new(),
             |req, _ctx| {
                 if req == 13 {
                     panic!("unlucky request");
@@ -419,6 +435,7 @@ mod tests {
                 queue_depth: 1,
                 ..ServiceConfig::default()
             },
+            CancelToken::new(),
             |(), ctx| {
                 let hung_since = Instant::now();
                 while !ctx.cancel.is_cancelled() {
@@ -453,6 +470,7 @@ mod tests {
                 queue_depth: 2,
                 drain_grace: Duration::from_secs(5),
             },
+            CancelToken::new(),
             move |req, _ctx| {
                 started_tx.send(()).ok();
                 release_rx
@@ -487,6 +505,7 @@ mod tests {
                 queue_depth: 1,
                 drain_grace: Duration::from_millis(30),
             },
+            CancelToken::new(),
             |(), ctx| {
                 let hung_since = Instant::now();
                 while !ctx.cancel.is_cancelled() {

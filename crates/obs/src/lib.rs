@@ -70,3 +70,15 @@ pub use serve::{CacheOutcome, ServeReport, ServeStats, ServeStatus, SERVE_SCHEMA
 pub use subscribe::{FanoutSubscriber, JsonLinesSubscriber, TextSubscriber};
 pub use telemetry::{RollingHistogram, Telemetry, WindowSummary};
 pub use trace::{TraceBuffer, TraceEvent, TraceEventSubscriber};
+
+/// Renders a caught panic payload as text: the `&str` or `String` it
+/// carries, or a fixed placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}

@@ -14,6 +14,21 @@ pub enum NetOrder {
     FewestPinsFirst,
 }
 
+impl std::str::FromStr for NetOrder {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "def" => Ok(NetOrder::Definition),
+            "most" => Ok(NetOrder::MostPinsFirst),
+            "few" => Ok(NetOrder::FewestPinsFirst),
+            other => Err(format!(
+                "unknown net order `{other}` (expected def, most or few)"
+            )),
+        }
+    }
+}
+
 use crate::{Budget, CancelToken};
 
 /// Routing options, mirroring the `eureka` command line of Appendix F.
@@ -201,5 +216,15 @@ mod tests {
         assert_eq!(RouteConfig::new().order, NetOrder::Definition);
         let c = RouteConfig::new().with_order(NetOrder::MostPinsFirst);
         assert_eq!(c.order, NetOrder::MostPinsFirst);
+    }
+
+    #[test]
+    fn order_names_parse_and_nothing_else_does() {
+        assert_eq!("def".parse(), Ok(NetOrder::Definition));
+        assert_eq!("most".parse(), Ok(NetOrder::MostPinsFirst));
+        assert_eq!("few".parse(), Ok(NetOrder::FewestPinsFirst));
+        for bad in ["", "Def", "most ", "fewest", "definition"] {
+            assert!(bad.parse::<NetOrder>().is_err(), "{bad:?} must be rejected");
+        }
     }
 }
