@@ -36,10 +36,9 @@ use netart::place::PlaceConfig;
 use netart_engine::{EngineConfig, JobContext, JobFailure, JobSuccess};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, checked_escher, exhausted_output,
-    input_policy, install_subscriber, install_subscriber_with, load_library, load_network_files,
-    ns, stdout_claimed, write_or_stdout, CliError, RunOutput,
+    checked_escher, load_library, load_network_files, ns, write_or_stdout, CliError, RunOutput,
 };
+use crate::common::{warnings, CommonArgs};
 use crate::ParsedArgs;
 
 /// Set by the process signal handler; bridged onto the engine's drain
@@ -400,39 +399,33 @@ fn attempt_job(
     })
 }
 
-/// `netart batch [--jobs n] [--max-attempts n] [--job-timeout ms]
-/// [--drain-grace ms] [--route-timeout ms] [--max-nodes n]
-/// [--out-dir dir] [--report-json manifest.json] [--strict]
-/// [--input-policy p] [--inject spec] [--trace-level lvl] [--log-json]
-/// [-L libdir] <dir | jobs.list | job.net> […]`
+/// `netart batch [common flags] [--jobs n] [--max-attempts n]
+/// [--job-timeout ms] [--drain-grace ms] [--route-timeout ms]
+/// [--max-nodes n] [--out-dir dir] [--report-json manifest.json]
+/// [--blackbox dump.json] [--strict] [-L libdir] <dir | jobs.list |
+/// job.net> […]`
 ///
 /// Runs every job through the full pipeline on a worker pool with
 /// per-job isolation, watchdog cancellation, retry/backoff and
-/// quarantine, then writes the aggregate [`BatchManifest`]. Exit
-/// codes mirror the single-run CLI: 0 when every job is `ok`, 2 when
-/// any job degraded / failed / was quarantined or skipped (1 under
-/// `--strict`), 1 when the batch itself could not run.
+/// quarantine, then writes the aggregate [`BatchManifest`].
+/// `--blackbox` arms a flight recorder whose ring is dumped there when
+/// a job is quarantined. Exit codes mirror the single-run CLI: 0 when
+/// every job is `ok`, 2 when any job degraded / failed / was
+/// quarantined or skipped (1 under `--strict`), 1 when the batch itself
+/// could not run. See the [common flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition (bad flags, no jobs, unreadable
 /// library, unwritable manifest).
 pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "jobs", "max-attempts", "job-timeout", "drain-grace", "route-timeout", "max-nodes",
-            "L", "out-dir", "report-json", "input-policy", "inject", "trace-level",
-            "max-input-bytes", "max-network-bytes", "blackbox",
-        ],
-        &["log-json", "strict"],
-        (1, usize::MAX),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
     // `--blackbox <path>` arms the flight recorder: span closes and
     // events ride the fan-out into a bounded ring, and a quarantined
     // job freezes the ring into a post-mortem dump at that path.
-    let _trace = if let Some(path) = args.value("blackbox") {
+    let blackbox = |args: &ParsedArgs| -> Vec<Box<dyn tracing::Subscriber>> {
+        let Some(path) = args.value("blackbox") else {
+            return Vec::new();
+        };
         let (recorder, handle) =
             FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
         let path = PathBuf::from(path);
@@ -442,31 +435,25 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
                 handle.note_degradation("flight_dump_failed");
             }
         })));
-        install_subscriber_with(&args, vec![Box::new(recorder)])?
-    } else {
-        install_subscriber(&args)?
+        vec![Box::new(recorder)]
     };
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let base_budget = budget_from_args(&args)?;
-    let ingest_budgets = budgets_from_args(&args)?;
-    let strict = args.has("strict");
+    let (args, common) = CommonArgs::parse_with(
+        argv,
+        &[
+            "jobs", "max-attempts", "job-timeout", "drain-grace", "route-timeout", "max-nodes",
+            "L", "out-dir", "report-json", "blackbox",
+        ],
+        &["strict"],
+        (1, usize::MAX),
+        blackbox,
+    )?;
+    common.finish(batch(&args, &common))
+}
 
+fn batch(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
     let mut lib_degs = Vec::new();
-    let lib = match load_library(&args, policy, &ingest_budgets, &mut lib_degs) {
-        Ok(lib) => lib,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
-    let jobs = match collect_jobs(args.positionals(), &ingest_budgets) {
-        Ok(jobs) => jobs,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
+    let lib = load_library(args, common, &mut lib_degs)?;
+    let jobs = collect_jobs(args.positionals(), &common.budgets)?;
     let inputs: Vec<String> = jobs.keys().cloned().collect();
     let out_dir = PathBuf::from(args.value("out-dir").unwrap_or("."));
     std::fs::create_dir_all(&out_dir).map_err(|source| CliError::Io {
@@ -507,6 +494,8 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         })
     };
 
+    let (policy, base_budget, strict) = (common.policy, common.route_budget, common.strict);
+    let ingest_budgets = common.budgets.clone();
     let manifest: BatchManifest = netart_engine::run(
         "netart batch",
         &inputs,
@@ -550,12 +539,7 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         s.skipped,
         if manifest.drained { " (drained)" } else { "" },
     );
-    for d in &lib_degs {
-        message.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
+    message.push_str(&warnings(&lib_degs));
     for job in &manifest.jobs {
         if let Some(error) = &job.error {
             message.push_str(&format!(
@@ -566,10 +550,5 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
             ));
         }
     }
-    Ok(RunOutput {
-        message,
-        degraded: manifest.exit_code() != 0,
-        strict,
-        message_to_stderr,
-    })
+    Ok(common.output(message, manifest.exit_code() != 0))
 }

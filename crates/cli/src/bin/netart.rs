@@ -22,89 +22,25 @@
 
 use std::process::ExitCode;
 
+use netart_cli::exit_with;
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("batch") {
-        netart_cli::install_drain_handlers();
-        return match netart_cli::run_batch(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart batch: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        netart_cli::install_drain_handlers();
-        netart_cli::install_flight_handler();
-        return match netart_cli::run_serve(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart serve: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("stress") {
-        return match netart_cli::run_stress(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart stress: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("profile") {
-        return match netart_cli::run_profile(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprint!("{}", out.message);
-                } else {
-                    print!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart profile: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("blackbox") {
-        return match netart_cli::run_blackbox(&argv[1..]) {
-            Ok(out) => {
-                print!("{}", out.message);
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart blackbox: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("report") {
-        return match argv.get(1).map(String::as_str) {
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        Some("batch") => {
+            netart_cli::install_drain_handlers();
+            exit_with("netart batch", netart_cli::run_batch(rest))
+        }
+        Some("serve") => {
+            netart_cli::install_drain_handlers();
+            netart_cli::install_flight_handler();
+            exit_with("netart serve", netart_cli::run_serve(rest))
+        }
+        Some("stress") => exit_with("netart stress", netart_cli::run_stress(rest)),
+        Some("profile") => exit_with("netart profile", netart_cli::run_profile(rest)),
+        Some("blackbox") => exit_with("netart blackbox", netart_cli::run_blackbox(rest)),
+        Some("report") => match argv.get(1).map(String::as_str) {
             Some("diff") => match netart_cli::run_report_diff(&argv[2..]) {
                 Ok(out) => {
                     if out.message_to_stderr {
@@ -127,20 +63,7 @@ fn main() -> ExitCode {
                 eprintln!("netart report: unknown subcommand (expected `diff`)");
                 ExitCode::FAILURE
             }
-        };
-    }
-    match netart_cli::run_netart(&argv) {
-        Ok(out) => {
-            if out.message_to_stderr {
-                eprintln!("{}", out.message);
-            } else {
-                println!("{}", out.message);
-            }
-            out.exit_code()
-        }
-        Err(e) => {
-            eprintln!("netart: {e}");
-            ExitCode::FAILURE
-        }
+        },
+        _ => exit_with("netart", netart_cli::run_netart(&argv)),
     }
 }

@@ -52,8 +52,9 @@ pub fn run_blackbox(argv: &[String]) -> Result<RunOutput, CliError> {
         path: path.to_owned(),
         message,
     })?;
+    // The timeline ends in a newline of its own; the exit tail adds one.
     Ok(RunOutput {
-        message: dump.render_timeline(),
+        message: dump.render_timeline().trim_end_matches('\n').to_owned(),
         degraded: false,
         strict: false,
         message_to_stderr: false,

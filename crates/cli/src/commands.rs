@@ -14,90 +14,18 @@ use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::{Library, Network};
 use netart_govern::MemBudget;
 use netart::obs::{
-    panic_message, DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber,
-    ProfileReport, ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
+    panic_message, DegradationReport, DiffConfig, Json, ProfileReport, ReportDiff, RunReport,
 };
 use netart_fault::FaultKind;
-use netart::place::{Pablo, PlaceConfig};
-use netart::route::{Budget, NetOrder, RouteConfig};
+use netart::place::Pablo;
 use netart::Generator;
 
+use crate::common::{library_dir, place_config, route_config, warnings, CommonArgs};
 use crate::{ArgError, ParsedArgs};
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
 pub(crate) fn ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Parses the shared observability flags and installs the matching
-/// subscriber. `--trace-level <error|warn|info|debug|trace>` turns on
-/// the human-readable text stream on stderr; `--log-json` switches the
-/// stream to one JSON object per line (at `--trace-level`, defaulting
-/// to `info`); `--trace-out <path>` additionally records every span
-/// and event into a Chrome trace-event buffer, returned here so the
-/// caller can write it after the run. Without any flag no subscriber
-/// is installed and the library instrumentation stays disabled.
-pub(crate) fn install_subscriber(args: &ParsedArgs) -> Result<Option<TraceBuffer>, CliError> {
-    install_subscriber_with(args, Vec::new())
-}
-
-/// [`install_subscriber`] with caller-supplied extra children ahead of
-/// the flag-driven ones — `netart serve` threads its flight recorder
-/// in here. Under the `alloc-profile` feature a phase-tag subscriber
-/// is always appended (even with no tracing flags at all), so heap
-/// attribution works on an otherwise silent run.
-pub(crate) fn install_subscriber_with(
-    args: &ParsedArgs,
-    extra: Vec<Box<dyn tracing::Subscriber>>,
-) -> Result<Option<TraceBuffer>, CliError> {
-    let level = match args.value("trace-level") {
-        Some(s) => Some(s.parse::<tracing::Level>().map_err(|_| ArgError::BadValue {
-            flag: "trace-level".into(),
-            value: s.into(),
-        })?),
-        None => None,
-    };
-    let mut children: Vec<Box<dyn tracing::Subscriber>> = extra;
-    if args.has("log-json") {
-        children.push(Box::new(JsonLinesSubscriber::new(
-            level.unwrap_or(tracing::Level::INFO),
-        )));
-    } else if let Some(max) = level {
-        children.push(Box::new(TextSubscriber::new(max)));
-    }
-    let mut buffer = None;
-    if args.value("trace-out").is_some() {
-        // The trace file is for offline inspection, so record
-        // everything the instrumentation offers regardless of the
-        // stderr stream's level.
-        let (subscriber, buf) = TraceEventSubscriber::new(tracing::Level::TRACE);
-        children.push(Box::new(subscriber));
-        buffer = Some(buf);
-    }
-    #[cfg(feature = "alloc-profile")]
-    children.push(Box::new(netart::obs::PhaseTagSubscriber));
-    if !children.is_empty() {
-        // Lenient: in-process callers (tests) may install twice; the
-        // first subscriber wins, which is fine for a diagnostics
-        // stream (a second run's trace buffer then stays empty).
-        let _ = tracing::set_global_default(FanoutSubscriber::new(children));
-    }
-    Ok(buffer)
-}
-
-/// Which streams claim stdout (`--report-json -` / `--trace-out -`).
-/// At most one may; the human-readable summary then moves to stderr so
-/// the machine-readable stream stays parseable.
-pub(crate) fn stdout_claimed(args: &ParsedArgs) -> Result<bool, CliError> {
-    let report = args.value("report-json") == Some("-");
-    let trace = args.value("trace-out") == Some("-");
-    if report && trace {
-        return Err(CliError::Other(
-            "--report-json - and --trace-out - both claim stdout; write at most one stream there"
-                .into(),
-        ));
-    }
-    Ok(report || trace)
 }
 
 /// Writes `text` to `path`, where `-` means stdout.
@@ -116,45 +44,6 @@ fn write_report(args: &ParsedArgs, report: &RunReport) -> Result<(), CliError> {
     if let Some(path) = args.value("report-json") {
         write_or_stdout(path, &report.to_json_string())?;
     }
-    Ok(())
-}
-
-/// Writes the recorded Chrome trace-event document when `--trace-out
-/// <path>` was given (`-` for stdout). Load the file in
-/// `ui.perfetto.dev` or `chrome://tracing`.
-pub(crate) fn write_trace(args: &ParsedArgs, buffer: Option<&TraceBuffer>) -> Result<(), CliError> {
-    if let (Some(path), Some(buffer)) = (args.value("trace-out"), buffer) {
-        write_or_stdout(path, &buffer.to_json_string())?;
-    }
-    Ok(())
-}
-
-/// Parses `--input-policy <strict|repair|best-effort>` (default
-/// `strict`); see [`InputPolicy`] for what each does.
-pub(crate) fn input_policy(args: &ParsedArgs) -> Result<InputPolicy, CliError> {
-    match args.value("input-policy") {
-        None => Ok(InputPolicy::Strict),
-        Some(s) => s.parse().map_err(|_| {
-            CliError::Args(ArgError::BadValue {
-                flag: "input-policy".into(),
-                value: s.into(),
-            })
-        }),
-    }
-}
-
-/// Arms the deterministic fault registry from `--inject
-/// site[:nth][:kind]` (comma-separated) and `NETART_INJECT`. Unless
-/// the binary was built with `--features fault-injection`, arming
-/// anything is an error — the sites compile to nothing.
-pub(crate) fn arm_faults(args: &ParsedArgs) -> Result<(), CliError> {
-    netart_fault::disarm_all();
-    if let Some(specs) = args.value("inject") {
-        for spec in specs.split(',').filter(|s| !s.trim().is_empty()) {
-            netart_fault::arm(spec.trim()).map_err(CliError::Other)?;
-        }
-    }
-    netart_fault::arm_from_env().map_err(CliError::Other)?;
     Ok(())
 }
 
@@ -230,8 +119,8 @@ pub struct RunOutput {
     /// `true` when `--strict` was given: degradation becomes failure.
     pub strict: bool,
     /// `true` when a machine-readable stream claimed stdout
-    /// (`--report-json -` / `--trace-out -`): the summary must go to
-    /// stderr instead.
+    /// (`--report-json -`, `--heat-json -` or `--trace-out -`): the
+    /// summary must go to stderr instead.
     pub message_to_stderr: bool,
 }
 
@@ -245,28 +134,6 @@ impl RunOutput {
             (true, true) => ExitCode::FAILURE,
         }
     }
-}
-
-/// Parses the shared robustness flags: `--route-timeout <ms>` and
-/// `--max-nodes <n>` build the per-net routing [`Budget`], `--strict`
-/// is read by the caller.
-pub(crate) fn budget_from_args(args: &ParsedArgs) -> Result<Budget, ArgError> {
-    let mut budget = Budget::new();
-    if let Some(ms) = args.value("route-timeout") {
-        let ms: u64 = ms.parse().map_err(|_| ArgError::BadValue {
-            flag: "route-timeout".into(),
-            value: ms.into(),
-        })?;
-        budget = budget.with_time_limit(Duration::from_millis(ms));
-    }
-    if let Some(n) = args.value("max-nodes") {
-        let n: u64 = n.parse().map_err(|_| ArgError::BadValue {
-            flag: "max-nodes".into(),
-            value: n.into(),
-        })?;
-        budget = budget.with_node_limit(n);
-    }
-    Ok(budget)
 }
 
 /// Any failure of a CLI run.
@@ -288,10 +155,10 @@ pub enum CliError {
         /// Parser message.
         message: String,
     },
-    /// The memory governor refused the input (`ND015`). Commands catch
-    /// this variant and *degrade* (exit 2) instead of failing: refusing
-    /// an oversized input is the configured contract, not a
-    /// malfunction.
+    /// The memory governor refused the input (`ND015`). The command
+    /// boundary turns this variant into a *degraded* outcome (exit 2)
+    /// instead of a failure: refusing an oversized input is the
+    /// configured contract, not a malfunction.
     ResourceExhausted {
         /// Path of the input being ingested when the budget ran out.
         path: PathBuf,
@@ -348,22 +215,6 @@ pub(crate) fn parse_bytes(flag: &str, s: &str) -> Result<u64, CliError> {
     };
     let n: u64 = digits.parse().map_err(|_| bad())?;
     n.checked_shl(shift).filter(|v| v >> shift == n).ok_or_else(bad)
-}
-
-/// Builds the two ingestion budgets from `--max-input-bytes` /
-/// `--max-network-bytes` (absent flags mean unlimited). Sizes accept
-/// `k`/`m`/`g` suffixes.
-pub(crate) fn budgets_from_args(args: &ParsedArgs) -> Result<IngestBudgets, CliError> {
-    let budget = |flag: &str| -> Result<std::sync::Arc<MemBudget>, CliError> {
-        Ok(std::sync::Arc::new(match args.value(flag) {
-            Some(s) => MemBudget::bytes(parse_bytes(flag, s)?),
-            None => MemBudget::unlimited(),
-        }))
-    };
-    Ok(IngestBudgets {
-        input: budget("max-input-bytes")?,
-        network: budget("max-network-bytes")?,
-    })
 }
 
 /// The `ND015` diagnostic text for an ingestion-time exhaustion,
@@ -432,23 +283,6 @@ pub(crate) fn read_text_gov(
     }
 }
 
-/// Turns a caught [`CliError::ResourceExhausted`] into the degraded
-/// (exit 2) outcome the governor contract promises: the refusal is
-/// reported with its `ND015` diagnostic, nothing is written, and under
-/// `--strict` the exit hardens to 1.
-pub(crate) fn exhausted_output(
-    error: &CliError,
-    strict: bool,
-    message_to_stderr: bool,
-) -> RunOutput {
-    RunOutput {
-        message: format!("input refused: {error}"),
-        degraded: true,
-        strict,
-        message_to_stderr,
-    }
-}
-
 fn write(path: &Path, contents: &str) -> Result<(), CliError> {
     fs::write(path, contents).map_err(|source| CliError::Io {
         path: path.to_owned(),
@@ -457,23 +291,14 @@ fn write(path: &Path, contents: &str) -> Result<(), CliError> {
 }
 
 /// Loads every `*.qto` quinto module description in the library
-/// directory (`-L`, falling back to `$USER_LIB` like the paper's
-/// tools), running each through the module doctor under `policy`.
+/// directory ([`library_dir`]), running each through the module doctor
+/// under the common input policy and budgets.
 pub(crate) fn load_library(
     args: &ParsedArgs,
-    policy: InputPolicy,
-    budgets: &IngestBudgets,
+    common: &CommonArgs,
     degs: &mut Vec<DegradationReport>,
 ) -> Result<Library, CliError> {
-    let dir = match args.value("L") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::var_os("USER_LIB")
-            .map(PathBuf::from)
-            .ok_or_else(|| {
-                CliError::Other("no module library: pass -L <dir> or set USER_LIB".into())
-            })?,
-    };
-    load_library_dir(&dir, policy, budgets, degs)
+    load_library_dir(&library_dir(args)?, common.policy, &common.budgets, degs)
 }
 
 /// The directory-parameterised core of [`load_library`], reused by
@@ -534,23 +359,22 @@ pub(crate) fn load_library_dir(
 }
 
 /// Parses the Appendix A positional files `net-list call-file
-/// [io-file]` through the netlist doctor under `policy`, collecting
-/// applied repairs as degradation records.
+/// [io-file]` through the netlist doctor under the common input
+/// policy, collecting applied repairs as degradation records.
 pub(crate) fn load_network(
     args: &ParsedArgs,
-    policy: InputPolicy,
-    budgets: &IngestBudgets,
+    common: &CommonArgs,
 ) -> Result<(Network, Vec<DegradationReport>), CliError> {
     let mut degs = Vec::new();
-    let lib = load_library(args, policy, budgets, &mut degs)?;
+    let lib = load_library(args, common, &mut degs)?;
     let files = args.positionals();
     let (network, mut net_degs) = load_network_files(
         lib,
         Path::new(&files[0]),
         Path::new(&files[1]),
         files.get(2).map(Path::new),
-        policy,
-        budgets,
+        common.policy,
+        &common.budgets,
     )?;
     degs.append(&mut net_degs);
     Ok((network, degs))
@@ -689,77 +513,47 @@ fn emit_diagram(
     Ok(format!("wrote {} and {}", esc.display(), svg_path.display()))
 }
 
-/// `pablo [-p n] [-b n] [-c n] [-e n] [-i n] [-s n] [-g preplaced.esc]
-/// [--input-policy strict|repair|best-effort] [--inject spec]
-/// [--trace-out trace.json] [--trace-level lvl] [--log-json]
-/// [-L libdir] [-o name] net-list call-file [io-file]`
+/// `pablo [common flags] [-p n] [-b n] [-c n] [-e n] [-i n] [-s n]
+/// [-g preplaced.esc] [--trace-out trace.json] [-L libdir] [-o name]
+/// net-list call-file [io-file]`
 ///
 /// Places the network (Appendix E). With `-g` the given ESCHER diagram
 /// is kept as the preplaced part. Writes `<name>.esc` / `<name>.svg`
 /// with modules and terminals only — nets are EUREKA's job — and
 /// returns a human-readable summary (with one warning line per input
 /// repair the doctor applied). `--trace-out` records the placement
-/// passes as a Chrome trace-event file.
+/// passes as a Chrome trace-event file. See the
+/// [common flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition.
 pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    let (args, common) = CommonArgs::parse(
         argv,
-        &[
-            "p", "b", "c", "e", "i", "s", "g", "L", "o", "input-policy", "inject", "trace-out",
-            "trace-level", "max-input-bytes", "max-network-bytes",
-        ],
-        &["log-json"],
+        &["p", "b", "c", "e", "i", "s", "g", "L", "o", "trace-out"],
+        &[],
         (2, 3),
     )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let (network, mut degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    common.finish(pablo(&args, &common))
+}
 
-    let mut config = PlaceConfig::new()
-        .with_max_part_size(args.parsed("p", 1usize)?)
-        .with_max_box_size(args.parsed("b", 1usize)?)
-        .with_part_spacing(args.parsed("e", 0i32)?)
-        .with_box_spacing(args.parsed("i", 0i32)?)
-        .with_module_spacing(args.parsed("s", 0i32)?);
-    if let Some(c) = args.value("c") {
-        config = config.with_max_connections(c.parse().map_err(|_| ArgError::BadValue {
-            flag: "c".into(),
-            value: c.into(),
-        })?);
-    }
-
+fn pablo(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
+    let (network, mut degs) = parse_with_recovery(|| load_network(args, common))?;
+    let config = place_config(args)?;
     let preplaced = match args.value("g") {
         Some(file) => {
             let path = Path::new(file);
-            let (text, len) = match read_text_gov(path, &budgets.input, "seed diagram file") {
-                Ok(v) => v,
-                Err(e @ CliError::ResourceExhausted { .. }) => {
-                    return Ok(exhausted_output(&e, false, message_to_stderr))
-                }
-                Err(e) => return Err(e),
-            };
+            let (text, len) = read_text_gov(path, &common.budgets.input, "seed diagram file")?;
             let parsed = escher::parse_diagram(network.clone(), &text);
             drop(text);
-            budgets.input.release(len);
+            common.budgets.input.release(len);
             let diagram = parsed.map_err(|e| CliError::Parse {
                 path: path.to_owned(),
                 message: e.to_string(),
             })?;
             let (_, placement, _) = diagram.into_parts();
-            doctor_seeds(&network, placement, path, policy, &mut degs)?
+            doctor_seeds(&network, placement, path, common.policy, &mut degs)?
         }
         None => netart::diagram::Placement::new(&network),
     };
@@ -777,25 +571,14 @@ pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
         })
         .unwrap_or_default();
     let diagram = Diagram::new(network, placement);
-    let files = emit_diagram(&args, "pablo_out", &diagram, &mut degs)?;
+    let files = emit_diagram(args, "pablo_out", &diagram, &mut degs)?;
     let mut message = format!(
         "placed {} modules and {} terminals ({structure}); {files}",
         diagram.network().module_count(),
         diagram.network().system_term_count(),
     );
-    for d in &degs {
-        message.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message,
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+    message.push_str(&warnings(&degs));
+    Ok(common.output(message, false))
 }
 
 /// Validates a preplaced seed diagram (`pablo -g`): strictly
@@ -876,77 +659,59 @@ fn doctor_seeds(
     Ok(repaired)
 }
 
-/// `eureka [-u] [-d] [-r] [-l] [-s] [-m margin] [--order def|most|few]
-/// [--no-claims] [--route-timeout ms] [--max-nodes n] [--strict]
-/// [--report-json report.json] [--log-json] [--trace-level lvl]
-/// [-L libdir] [-o name] --diagram placed.esc net-list call-file
-/// [io-file]`
+/// `eureka [common flags] [-u] [-d] [-r] [-l] [-s] [-m margin]
+/// [--order def|most|few] [--no-claims] [--no-salvage]
+/// [--route-timeout ms] [--max-nodes n] [--strict]
+/// [--report-json report.json] [--trace-out trace.json] [-L libdir]
+/// [-o name] --diagram placed.esc net-list call-file [io-file]`
 ///
 /// Routes the nets of a placed diagram (Appendix F). The placement
 /// comes from `--diagram` (a pablo or hand-edited ESCHER file, possibly
 /// with prerouted nets); the netlist files supply the connection rules.
 /// `--route-timeout`/`--max-nodes` bound the per-net search effort (the
-/// salvage cascade handles nets that bust the budget); see
-/// [`RunOutput`] for how degraded runs exit. `--report-json` writes the
-/// machine-readable run report, `--trace-level`/`--log-json` stream
-/// diagnostics to stderr.
+/// salvage cascade handles nets that bust the budget, unless
+/// `--no-salvage`); see [`RunOutput`] for how degraded runs exit.
+/// `--report-json` writes the machine-readable run report. See
+/// the [common flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition.
 pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    let (args, common) = CommonArgs::parse(
         argv,
         &[
             "m", "order", "L", "o", "diagram", "route-timeout", "max-nodes", "report-json",
-            "trace-out", "trace-level", "input-policy", "inject", "max-input-bytes",
-            "max-network-bytes",
+            "trace-out",
         ],
-        &["u", "d", "r", "l", "s", "no-claims", "no-salvage", "strict", "log-json"],
+        &["u", "d", "r", "l", "s", "no-claims", "no-salvage", "strict"],
         (2, 3),
     )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let strict = args.has("strict");
+    common.finish(eureka(&args, &common))
+}
+
+fn eureka(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
     let alloc_base = netart::obs::AllocSnapshot::capture();
     let t_parse = Instant::now();
     let parse_tag = netart::obs::enter_phase("parse");
-    let (network, mut cli_degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, strict, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    let (network, mut cli_degs) = parse_with_recovery(|| load_network(args, common))?;
 
     let diagram_file = args
         .value("diagram")
         .ok_or_else(|| CliError::Other("eureka needs --diagram <placed.esc>".into()))?;
     let path = Path::new(diagram_file);
-    let (esc_text, esc_len) = match read_text_gov(path, &budgets.input, "diagram file") {
-        Ok(v) => v,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
+    let (esc_text, esc_len) = read_text_gov(path, &common.budgets.input, "diagram file")?;
     let diagram =
         escher::parse_diagram(network, &esc_text).map_err(|e| CliError::Parse {
             path: path.to_owned(),
             message: e.to_string(),
         })?;
     drop(esc_text);
-    budgets.input.release(esc_len);
+    common.budgets.input.release(esc_len);
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
-    let mut config = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_budget(budget_from_args(&args)?);
+    let mut config = route_config(args, common)?;
     if args.has("u") {
         config = config.with_fixed_up();
     }
@@ -962,13 +727,6 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("s") {
         config = config.with_swapped_tiebreak();
     }
-    if args.has("no-claims") {
-        config = config.without_claimpoints();
-    }
-    if args.has("no-salvage") {
-        config = config.without_salvage();
-    }
-    config = config.with_order(args.parsed("order", NetOrder::Definition)?);
 
     let outcome = Generator::new()
         .with_routing(config)
@@ -983,27 +741,21 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     summary.push_str(&salvage_summary(&outcome.diagram, report));
     let t_emit = Instant::now();
     let emit_tag = netart::obs::enter_phase("emit");
-    let files = emit_diagram(&args, "eureka_out", &outcome.diagram, &mut cli_degs)?;
+    let files = emit_diagram(args, "eureka_out", &outcome.diagram, &mut cli_degs)?;
     drop(emit_tag);
     let mut run_report = outcome.run_report("eureka");
     run_report.push_phase_front("parse", parse_ns);
     run_report.push_phase("emit", ns(t_emit.elapsed()));
     netart::obs::attach_alloc_profile(&mut run_report, &alloc_base);
+    summary.push_str(&warnings(&cli_degs));
     for d in &cli_degs {
-        summary.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
         run_report.push_degradation(d.clone());
     }
-    write_report(&args, &run_report)?;
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: format!("{summary}\n{}\n{files}", outcome.diagram.metrics()),
-        degraded: !outcome.is_clean() || !cli_degs.is_empty(),
-        strict: args.has("strict"),
-        message_to_stderr,
-    })
+    write_report(args, &run_report)?;
+    Ok(common.output(
+        format!("{summary}\n{}\n{files}", outcome.diagram.metrics()),
+        !outcome.is_clean() || !cli_degs.is_empty(),
+    ))
 }
 
 /// Warning lines for nets that needed the salvage cascade or stayed
@@ -1032,11 +784,11 @@ fn salvage_summary(diagram: &Diagram, report: &netart::route::RouteReport) -> St
     out
 }
 
-/// `netart [-p n] [-b n] [-c n] [-e n] [-i n] [-s n] [-m margin]
-/// [--order def|most|few] [--no-claims] [--route-timeout ms]
-/// [--max-nodes n] [--strict] [--art] [--report-json report.json]
-/// [--log-json] [--trace-level lvl] [-L libdir] [-o name] net-list
-/// call-file [io-file]`
+/// `netart [common flags] [-p n] [-b n] [-c n] [-e n] [-i n] [-s n]
+/// [-m margin] [--order def|most|few] [--no-claims] [--no-salvage]
+/// [--route-timeout ms] [--max-nodes n] [--strict] [--art]
+/// [--report-json report.json] [--trace-out trace.json] [-L libdir]
+/// [-o name] net-list call-file [io-file]`
 ///
 /// The full pipeline — PABLO placement followed by EUREKA routing — in
 /// one invocation. `--art` appends an ASCII rendering of the finished
@@ -1044,68 +796,38 @@ fn salvage_summary(diagram: &Diagram, report: &netart::route::RouteReport) -> St
 /// partition/box structure overlaid in the SVG).
 /// `--route-timeout`/`--max-nodes` bound the per-net search effort; see
 /// [`RunOutput`] for how degraded runs exit. `--report-json` writes the
-/// machine-readable run report, `--trace-level`/`--log-json` stream
-/// diagnostics to stderr.
+/// machine-readable run report. See the [common
+/// flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition.
 pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    let (args, common) = CommonArgs::parse(
         argv,
         &[
             "p", "b", "c", "e", "i", "s", "m", "order", "L", "o", "route-timeout", "max-nodes",
-            "report-json", "trace-out", "trace-level", "input-policy", "inject",
-            "max-input-bytes", "max-network-bytes",
+            "report-json", "trace-out",
         ],
-        &["no-claims", "no-salvage", "art", "strict", "log-json"],
+        &["no-claims", "no-salvage", "art", "strict"],
         (2, 3),
     )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
+    common.finish(netart(&args, &common))
+}
+
+fn netart(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
     // Heap-attribution window for the whole run (a no-op stub unless
     // built with `--features alloc-profile`). Parse and emit are
     // phases without spans, so they tag themselves with guards.
     let alloc_base = netart::obs::AllocSnapshot::capture();
     let t_parse = Instant::now();
     let parse_tag = netart::obs::enter_phase("parse");
-    let (network, mut cli_degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, args.has("strict"), message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    let (network, mut cli_degs) = parse_with_recovery(|| load_network(args, common))?;
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
-    let mut place = PlaceConfig::new()
-        .with_max_part_size(args.parsed("p", 1usize)?)
-        .with_max_box_size(args.parsed("b", 1usize)?)
-        .with_part_spacing(args.parsed("e", 0i32)?)
-        .with_box_spacing(args.parsed("i", 0i32)?)
-        .with_module_spacing(args.parsed("s", 0i32)?);
-    if let Some(c) = args.value("c") {
-        place = place.with_max_connections(c.parse().map_err(|_| ArgError::BadValue {
-            flag: "c".into(),
-            value: c.into(),
-        })?);
-    }
-    let mut route = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_budget(budget_from_args(&args)?);
-    if args.has("no-claims") {
-        route = route.without_claimpoints();
-    }
-    if args.has("no-salvage") {
-        route = route.without_salvage();
-    }
-    route = route.with_order(args.parsed("order", NetOrder::Definition)?);
-
+    let place = place_config(args)?;
+    let route = route_config(args, common)?;
     let outcome = netart::Generator::new()
         .with_placing(place)
         .with_routing(route)
@@ -1130,8 +852,7 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
     for d in &cli_degs {
         run_report.push_degradation(d.clone());
     }
-    write_report(&args, &run_report)?;
-    write_trace(&args, trace_buffer.as_ref())?;
+    write_report(args, &run_report)?;
 
     let mut summary = format!(
         "placed {} modules in {:?}; routed {}/{} nets in {:?}\n{}\nwrote {out}.esc and {out}.svg",
@@ -1159,99 +880,70 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
             netart::Degradation::NetSalvaged { .. } | netart::Degradation::NetUnrouted(_) => {}
         }
     }
-    for d in &cli_degs {
-        summary.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
+    summary.push_str(&warnings(&cli_degs));
     if args.has("art") {
         summary.push('\n');
         summary.push_str(&netart::diagram::ascii::render(diagram));
     }
-    Ok(RunOutput {
-        message: summary,
-        degraded: !outcome.is_clean() || !cli_degs.is_empty(),
-        strict: args.has("strict"),
-        message_to_stderr,
-    })
+    Ok(common.output(summary, !outcome.is_clean() || !cli_degs.is_empty()))
 }
 
-/// `quinto [-L libdir] [--input-policy strict|repair|best-effort]
-/// [--inject spec] [--trace-out trace.json] [--trace-level lvl]
-/// [--log-json] description.qto […]`
+/// `quinto [common flags] [--trace-out trace.json] [-L libdir]
+/// description.qto […]`
 ///
 /// Validates module descriptions (Appendix B) through the module
 /// doctor and installs them into the library directory. Under
 /// `repair`/`best-effort` the *repaired* description is what gets
 /// installed, with one warning line per applied repair. `--trace-out`
-/// records the doctor's work as a Chrome trace-event file.
+/// records the doctor's work as a Chrome trace-event file. See
+/// the [common flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition.
 pub fn run_quinto(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "L", "input-policy", "inject", "trace-out", "trace-level", "max-input-bytes",
-            "max-network-bytes",
-        ],
-        &["log-json"],
-        (1, usize::MAX),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let dir = match args.value("L") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::var_os("USER_LIB")
-            .map(PathBuf::from)
-            .ok_or_else(|| CliError::Other("pass -L <dir> or set USER_LIB".into()))?,
-    };
+    let (args, common) = CommonArgs::parse(argv, &["L", "trace-out"], &[], (1, usize::MAX))?;
+    common.finish(quinto(&args, &common))
+}
+
+fn quinto(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
+    let dir = library_dir(args)?;
     fs::create_dir_all(&dir).map_err(|source| CliError::Io {
         path: dir.clone(),
         source,
     })?;
     let mut added = Vec::new();
-    let mut warnings = String::new();
+    let mut repairs = String::new();
     for file in args.positionals() {
         let path = Path::new(file);
-        let recs = match read_records_gov(path, &budgets.input, "module file", DoctorFile::Module)
-        {
-            Ok(recs) => recs,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+        let recs = read_records_gov(
+            path,
+            &common.budgets.input,
+            "module file",
+            DoctorFile::Module,
+        )?;
         let kept: u64 = recs.iter().map(Record::cost).sum();
-        let doctored = doctor::doctor_module_records(recs, policy);
-        budgets.input.release(kept);
+        let doctored = doctor::doctor_module_records(recs, common.policy);
+        common.budgets.input.release(kept);
         let (template, report) = doctored.map_err(|e| CliError::Parse {
             path: path.to_owned(),
             message: e.to_string(),
         })?;
         for d in &report.diagnostics {
-            warnings.push_str(&format!("\nwarning: {}: {d}", path.display()));
+            repairs.push_str(&format!("\nwarning: {}: {d}", path.display()));
         }
         let target = dir.join(format!("{}.qto", template.name()));
         write(&target, &quinto::write_module(&template))?;
         added.push(template.name().to_owned());
     }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: format!(
-            "added {} module(s): {}{warnings}",
+    Ok(common.output(
+        format!(
+            "added {} module(s): {}{repairs}",
             added.len(),
             added.join(", ")
         ),
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+        false,
+    ))
 }
 
 /// `netart report diff [--band n] [--diff-json out.json] baseline.json

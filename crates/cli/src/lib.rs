@@ -21,6 +21,32 @@
 //!
 //! Everything is implemented in this library crate so it can be tested;
 //! the binaries are thin wrappers.
+//!
+//! # Common flags
+//!
+//! Every entry point — `pablo`, `eureka`, `quinto`, `netart` and
+//! `netart profile|stress|batch|serve` — accepts these; each usage line
+//! says `[common flags]` and lists only its own flags.
+//!
+//! * `--input-policy strict|repair|best-effort` — how the doctor treats
+//!   defective input (default `strict`).
+//! * `--inject site[:nth][:kind][,…]` — arms the fault registry (as
+//!   does `NETART_INJECT`); only a `--features fault-injection` build
+//!   accepts it, every other build rejects it with a hint.
+//! * `--trace-level error|warn|info|debug|trace` and `--log-json` —
+//!   the diagnostics stream on stderr (text, or one JSON object per
+//!   line at `--trace-level`, default `info`).
+//! * `--max-input-bytes b` and `--max-network-bytes b` — the ingestion
+//!   budgets (`k`/`m`/`g` suffixes, unlimited when absent). Exceeding
+//!   one refuses the run with the `ND015` diagnostic: `input refused:
+//!   …`, nothing written, exit 2 (1 under `--strict`).
+//!
+//! The same code reads these flags for every command that lists them:
+//! `--trace-out path` (a Chrome trace-event file, written once the run
+//! completes), `--route-timeout ms` / `--max-nodes n` (the per-net
+//! routing budget), `--strict` and `-L dir`. At most one of
+//! `--report-json -`, `--heat-json -` and `--trace-out -` may claim
+//! stdout; the human-readable summary then moves to stderr.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -29,6 +55,7 @@ mod args;
 mod batch;
 mod blackbox;
 mod commands;
+mod common;
 mod http;
 mod profile;
 mod serve;
@@ -42,6 +69,7 @@ pub use commands::{
     run_eureka, run_netart, run_pablo, run_quinto, run_report_diff, CliError, DiffOutput,
     RunOutput,
 };
+pub use common::exit_with;
 pub use profile::run_profile;
 pub use serve::run_serve;
 pub use stress::run_stress;

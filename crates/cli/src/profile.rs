@@ -14,13 +14,11 @@
 
 use netart::obs::{ProfileCell, ProfileReport, ProfileTotals};
 use netart::place::PlaceConfig;
-use netart::route::{NetOrder, NetRouteStats, RouteConfig};
+use netart::route::NetRouteStats;
 use netart::Outcome;
 
-use crate::commands::{
-    arm_faults, budget_from_args, input_policy, install_subscriber, load_network, write_or_stdout,
-    write_trace, CliError, RunOutput,
-};
+use crate::commands::{load_network, write_or_stdout, CliError, RunOutput};
+use crate::common::{route_config, CommonArgs};
 use crate::{ArgError, ParsedArgs};
 
 /// An inclusive diagram-coordinate bounding box `(min_x, min_y,
@@ -166,34 +164,35 @@ fn build_profile(outcome: &Outcome, grid: u32) -> ProfileReport {
     }
 }
 
-/// `netart profile [--grid n] [--heat-json out.json] [-L libdir]
+/// `netart profile [common flags] [--grid n] [--heat-json out.json]
 /// [-m margin] [--order o] [--route-timeout ms] [--max-nodes n]
-/// [--input-policy p] [--inject spec] [--trace-level lvl]
-/// [--trace-out path] [--log-json] net-list call-file [io-file]`
+/// [--trace-out path] [-L libdir] net-list call-file [io-file]`
 ///
 /// Routes the design once and prints the spatial congestion heat map
 /// (`--grid` cells per side, default 16). `--heat-json` writes the
 /// schema-versioned profile document (`-` for stdout; the ASCII map
 /// then moves to stderr), which `netart report diff` accepts on
 /// either side. The document carries only deterministic counters:
-/// profiling the same input twice produces bit-identical JSON.
+/// profiling the same input twice produces bit-identical JSON. See
+/// the [common flags](crate#common-flags).
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition, including unreadable inputs and a
 /// `--grid` of zero.
 pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    let (args, common) = CommonArgs::parse(
         argv,
         &[
-            "grid", "heat-json", "L", "m", "order", "route-timeout", "max-nodes", "input-policy",
-            "inject", "trace-level", "trace-out", "max-input-bytes", "max-network-bytes",
+            "grid", "heat-json", "L", "m", "order", "route-timeout", "max-nodes", "trace-out",
         ],
-        &["log-json"],
+        &[],
         (2, 3),
     )?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
+    common.finish(profile(&args, &common))
+}
+
+fn profile(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
     let grid = args.parsed("grid", 16u32)?;
     if grid == 0 || grid > 512 {
         return Err(ArgError::BadValue {
@@ -202,39 +201,19 @@ pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
         }
         .into());
     }
-    let policy = input_policy(&args)?;
-    let budgets = crate::commands::budgets_from_args(&args)?;
-    let (network, _degs) = match load_network(&args, policy, &budgets) {
-        Ok(v) => v,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(crate::commands::exhausted_output(&e, false, false))
-        }
-        Err(e) => return Err(e),
-    };
-
-    let order = args.parsed("order", NetOrder::Definition)?;
-    let route = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_order(order)
-        .with_budget(budget_from_args(&args)?);
+    let (network, _degs) = load_network(args, common)?;
     let outcome = netart::Generator::new()
         .with_placing(PlaceConfig::new())
-        .with_routing(route)
+        .with_routing(route_config(args, common)?)
         .generate(network);
 
     let profile = build_profile(&outcome, grid);
-    let mut message_to_stderr = false;
     if let Some(path) = args.value("heat-json") {
         write_or_stdout(path, &profile.to_json_string())?;
-        message_to_stderr = path == "-";
     }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: profile.render_ascii(),
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+    // The map ends in a newline of its own; the exit tail adds one.
+    let map = profile.render_ascii();
+    Ok(common.output(map.trim_end_matches('\n').to_owned(), false))
 }
 
 #[cfg(test)]

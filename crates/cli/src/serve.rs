@@ -62,10 +62,10 @@ use netart::diagram::svg;
 use netart_engine::{ByteCache, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, checked_escher, cli_degradation,
-    doctor_degradations, exhausted_output, input_policy, install_subscriber_with, ns, parse_bytes,
-    write_trace, CliError, RunOutput,
+    checked_escher, cli_degradation, doctor_degradations, load_library, ns, parse_bytes, CliError,
+    RunOutput,
 };
+use crate::common::{margin_and_order, CommonArgs};
 use crate::http::{read_request, respond, RequestError};
 use crate::shard::{FleetView, ShardRuntime};
 use crate::{ArgError, ParsedArgs};
@@ -1054,14 +1054,12 @@ fn parse_millis(args: &ParsedArgs, flag: &str, default_ms: u64) -> Result<Durati
     Ok(Duration::from_millis(args.parsed(flag, default_ms)?))
 }
 
-/// `netart serve [--addr host:port] [-L libdir] [--workers n]
-/// [--queue-depth n] [--default-timeout ms] [--timeout-ceiling ms]
-/// [--max-body bytes] [--cache-bytes n] [--drain-grace ms]
-/// [--route-timeout ms] [--max-nodes n] [-m margin] [--order o]
-/// [--input-policy p] [--inject spec] [--access-log path]
-/// [--trace-level lvl] [--trace-out path] [--log-json]
-/// [--memory-budget bytes] [--max-input-bytes n] [--max-network-bytes n]
-/// [--blackbox path] [--debug-endpoints]
+/// `netart serve [common flags] [--addr host:port] [-L libdir]
+/// [--workers n] [--queue-depth n] [--default-timeout ms]
+/// [--timeout-ceiling ms] [--max-body bytes] [--cache-bytes n]
+/// [--drain-grace ms] [--route-timeout ms] [--max-nodes n] [-m margin]
+/// [--order o] [--access-log path] [--trace-out path]
+/// [--memory-budget bytes] [--blackbox path] [--debug-endpoints]
 /// [--shards n] [--quorum k] [--crash-limit m] [--crash-window ms]`
 ///
 /// `--shards N` boots a supervisor instead: the listener is bound
@@ -1081,7 +1079,8 @@ fn parse_millis(args: &ParsedArgs, flag: &str, default_ms: u64) -> Result<Durati
 /// bytes for the life of the request, and each job's parse is governed
 /// by a snapshot of the remaining room — an exhausted parse answers
 /// `503` with the `ND015` diagnostic inline. `--max-input-bytes` /
-/// `--max-network-bytes` govern the boot-time library load.
+/// `--max-network-bytes`, two of the [common flags](crate#common-flags),
+/// govern the boot-time library load.
 ///
 /// Boots the resident diagram service and blocks until SIGINT/SIGTERM
 /// drains it. The first stdout line is `serving on http://ADDR` (the
@@ -1108,18 +1107,23 @@ fn parse_millis(args: &ParsedArgs, flag: &str, default_ms: u64) -> Result<Durati
 /// unbindable address). After boot the server degrades, it does not
 /// error.
 pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    // The flight recorder is always on in serve: INFO keeps the phase
+    // spans and warn/error events in the ring while the per-net DEBUG
+    // spans stay un-dispatched (negligible steady-state cost).
+    let (flight_recorder, recorder) =
+        FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
+    let (args, common) = CommonArgs::parse_with(
         argv,
         &[
             "addr", "L", "workers", "queue-depth", "default-timeout", "timeout-ceiling",
             "max-body", "cache-bytes", "drain-grace", "route-timeout", "max-nodes", "m", "order",
-            "input-policy", "inject", "access-log", "trace-level", "trace-out", "memory-budget",
-            "max-input-bytes", "max-network-bytes", "blackbox",
+            "access-log", "trace-out", "memory-budget", "blackbox",
             "shards", "quorum", "crash-limit", "crash-window",
             "shard-worker", "shard-count", "shard-fd",
         ],
-        &["log-json", "debug-endpoints"],
+        &["debug-endpoints"],
         (0, 0),
+        |_| vec![Box::new(flight_recorder)],
     )?;
     // `--shards N` makes this process the supervisor: it binds the
     // listener, re-execs N workers in the hidden `--shard-worker`
@@ -1130,6 +1134,14 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
             return crate::shard::run_supervisor(argv, &args, shards);
         }
     }
+    common.finish(serve(&args, &common, recorder))
+}
+
+fn serve(
+    args: &ParsedArgs,
+    common: &CommonArgs,
+    recorder: FlightHandle,
+) -> Result<RunOutput, CliError> {
     // Hidden worker mode: shard identity injected by the supervisor.
     let shard_identity = match args.value("shard-worker") {
         Some(_) => Some((
@@ -1138,36 +1150,18 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         )),
         None => None,
     };
-    // The flight recorder is always on in serve: INFO keeps the phase
-    // spans and warn/error events in the ring while the per-net DEBUG
-    // spans stay un-dispatched (negligible steady-state cost).
-    let (flight_recorder, recorder) =
-        FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
-    let trace = install_subscriber_with(&args, vec![Box::new(flight_recorder)])?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let base_budget = budget_from_args(&args)?;
-    let boot_budgets = budgets_from_args(&args)?;
     let mem_budget = Arc::new(match args.value("memory-budget") {
         Some(s) => MemBudget::bytes(parse_bytes("memory-budget", s)?),
         None => MemBudget::unlimited(),
     });
 
     let mut boot_degs = Vec::new();
-    let library =
-        match crate::commands::load_library(&args, policy, &boot_budgets, &mut boot_degs) {
-            Ok(lib) => lib,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, false))
-            }
-            Err(e) => return Err(e),
-        };
+    let library = load_library(args, common, &mut boot_degs)?;
 
-    let margin = args.parsed("m", 4i32)?;
-    let order = args.parsed("order", NetOrder::Definition)?;
-    let timeout_ceiling = parse_millis(&args, "timeout-ceiling", 30_000)?;
-    let default_timeout = parse_millis(&args, "default-timeout", 10_000)?.min(timeout_ceiling);
-    let drain_grace = parse_millis(&args, "drain-grace", 5_000)?;
+    let (margin, order) = margin_and_order(args)?;
+    let timeout_ceiling = parse_millis(args, "timeout-ceiling", 30_000)?;
+    let default_timeout = parse_millis(args, "default-timeout", 10_000)?.min(timeout_ceiling);
+    let drain_grace = parse_millis(args, "drain-grace", 5_000)?;
     let config = ServiceConfig {
         workers: args.parsed("workers", 2u32)?,
         queue_depth: args.parsed("queue-depth", 4usize)?,
@@ -1216,8 +1210,8 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
 
     let handler_state = HandlerState {
         library,
-        policy,
-        base_budget,
+        policy: common.policy,
+        base_budget: common.route_budget,
         telemetry: Arc::clone(&telemetry),
         mem_budget: Arc::clone(&mem_budget),
     };
@@ -1349,10 +1343,9 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         std::thread::sleep(ACCEPT_TICK);
     }
 
-    write_trace(&args, trace.as_ref())?;
     let stats = stats_snapshot(&state);
-    Ok(RunOutput {
-        message: format!(
+    Ok(common.output(
+        format!(
             "drained cleanly: {} requests ({} clean, {} degraded, {} failed, {} shed), \
              {} cache hits, {} coalesced, {} panics contained",
             stats.requests,
@@ -1364,10 +1357,8 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
             stats.coalesced,
             stats.panics,
         ),
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
-    })
+        false,
+    ))
 }
 
 #[cfg(test)]

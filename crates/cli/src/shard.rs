@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use netart_engine::{ShardAction, ShardPhase, ShardTable, SupervisorConfig};
 
-use crate::commands::{arm_faults, CliError, RunOutput};
+use crate::commands::{CliError, RunOutput};
 use crate::ParsedArgs;
 
 /// The supervisor's reap/respawn/broadcast tick.
@@ -392,10 +392,10 @@ pub(crate) fn run_supervisor(
     args: &ParsedArgs,
     shards: usize,
 ) -> Result<RunOutput, CliError> {
-    // Arm before the first spawn attempt: `serve.spawn` fires here in
-    // the supervisor; every other site rides the forwarded `--inject`
-    // (and the inherited NETART_INJECT) into the workers.
-    arm_faults(args)?;
+    // The common flags armed the fault registry before the first
+    // spawn attempt: `serve.spawn` fires here in the supervisor; every
+    // other site rides the forwarded `--inject` (and the inherited
+    // NETART_INJECT) into the workers.
     let quorum = args.parsed("quorum", shards)?.clamp(1, shards);
     let defaults = SupervisorConfig::default();
     let config = SupervisorConfig {

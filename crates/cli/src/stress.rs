@@ -29,11 +29,8 @@ use netart::place::PlaceConfig;
 use netart::route::RouteConfig;
 use netart_workloads::text::{self, TextWorkload};
 
-use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, exhausted_output, input_policy,
-    install_subscriber, load_library_dir, load_network_files, parse_bytes, write_trace, CliError,
-    RunOutput,
-};
+use crate::commands::{load_library_dir, load_network_files, parse_bytes, CliError, RunOutput};
+use crate::common::CommonArgs;
 use crate::{ArgError, ParsedArgs};
 
 /// Peak resident set size of this process in bytes, from
@@ -99,24 +96,26 @@ fn build_workload(
     Ok(w)
 }
 
-/// `netart stress [--workload kind] [--modules n] [--seed s]
-/// [--adversary truncate|garbage] [--phase parse|place|route]
-/// [--max-input-bytes b] [--max-network-bytes b] [--rss-limit b]
-/// [--out dir] [--input-policy p] [--route-timeout ms] [--max-nodes n]
-/// [--inject spec] [--trace-level lvl] [--trace-out path] [--log-json]`
+/// `netart stress [common flags] [--workload kind] [--modules n]
+/// [--seed s] [--adversary truncate|garbage] [--phase parse|route]
+/// [--rss-limit b] [--out dir] [--keep] [--route-timeout ms]
+/// [--max-nodes n] [--trace-out path]`
 ///
 /// Workload kinds: `cell-array` (default; a near-square systolic
 /// grid), `hierarchy` (seeded random tree), `datapath` (bit-sliced
 /// stages with wide control nets), `fanout` (one net with `--modules`
 /// pins), `amplify` (huge call text over a one-template library).
 /// `--modules` (default 1000) scales the workload; generators are
-/// byte-deterministic per `(kind, modules, seed)`.
+/// byte-deterministic per `(kind, modules, seed)`. The workload is
+/// written to `--out`, or to a temporary directory that is removed
+/// afterwards unless `--keep` is given.
 ///
 /// `--adversary truncate` cuts the net-list mid-record; `--adversary
 /// garbage` appends seeded binary-ish noise — both exercise the
 /// doctor's fail-closed paths at scale. `--phase parse` stops after
 /// the governed ingestion; `--phase route` (the default) runs the full
-/// pipeline.
+/// pipeline. See the [common flags](crate#common-flags), among them
+/// the `--max-input-bytes` / `--max-network-bytes` budgets under test.
 ///
 /// Exit 0: ingested (and routed) under budget. Exit 2: the memory
 /// governor refused the workload (`ND015` with stage and byte counts).
@@ -128,20 +127,31 @@ fn build_workload(
 /// Any [`CliError`] condition, including an unwritable `--out`
 /// directory and a breached `--rss-limit`.
 pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
+    let (args, common) = CommonArgs::parse(
         argv,
         &[
-            "workload", "modules", "seed", "adversary", "phase", "max-input-bytes",
-            "max-network-bytes", "rss-limit", "out", "input-policy", "route-timeout",
-            "max-nodes", "inject", "trace-level", "trace-out",
+            "workload", "modules", "seed", "adversary", "phase", "rss-limit", "out",
+            "route-timeout", "max-nodes", "trace-out",
         ],
-        &["log-json", "keep"],
+        &["keep"],
         (0, 0),
     )?;
-    let trace = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
+    common.finish(stress(&args, &common))
+}
+
+/// Removes the generated workload directory when dropped, unless the
+/// run asked to keep it.
+struct Scratch(Option<PathBuf>);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn stress(args: &ParsedArgs, common: &CommonArgs) -> Result<RunOutput, CliError> {
     let modules: usize = args.parsed("modules", 1000usize)?;
     let seed: u64 = args.parsed("seed", 1u64)?;
     let kind = args.value("workload").unwrap_or("cell-array");
@@ -191,41 +201,24 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         path: dir.clone(),
         source,
     })?;
-    let cleanup = || {
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    };
+    let _scratch = Scratch(ephemeral.then_some(dir));
 
     // The governed ingestion path, verbatim: streamed module library,
     // streamed netlist trio, budgeted network build. An exhaustion
     // anywhere is the contract working — degraded exit 2 with ND015.
     let t_parse = Instant::now();
+    let (policy, budgets) = (common.policy, &common.budgets);
     let mut degs = Vec::new();
-    let loaded = load_library_dir(&paths.lib, policy, &budgets, &mut degs).and_then(|lib| {
-        load_network_files(
-            lib,
-            &paths.net,
-            &paths.cal,
-            paths.io.as_deref(),
-            policy,
-            &budgets,
-        )
-    });
-    let network = match loaded {
-        Ok((network, mut net_degs)) => {
-            degs.append(&mut net_degs);
-            network
-        }
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            cleanup();
-            return Ok(exhausted_output(&e, false, false));
-        }
-        Err(e) => {
-            cleanup();
-            return Err(e);
-        }
-    };
+    let lib = load_library_dir(&paths.lib, policy, budgets, &mut degs)?;
+    let (network, mut net_degs) = load_network_files(
+        lib,
+        &paths.net,
+        &paths.cal,
+        paths.io.as_deref(),
+        policy,
+        budgets,
+    )?;
+    degs.append(&mut net_degs);
     let parse_s = t_parse.elapsed().as_secs_f64();
 
     let mut summary = format!(
@@ -240,7 +233,7 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
     );
 
     if phase != "parse" {
-        let route = RouteConfig::new().with_budget(budget_from_args(&args)?);
+        let route = RouteConfig::new().with_budget(common.route_budget);
         let t_pipe = Instant::now();
         let outcome = netart::Generator::new()
             .with_placing(PlaceConfig::new())
@@ -265,8 +258,6 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         Some(rss) => summary.push_str(&format!("; peak RSS {}", human_bytes(rss))),
         None => summary.push_str("; peak RSS unavailable on this platform"),
     }
-    cleanup();
-    write_trace(&args, trace.as_ref())?;
 
     if let (Some(limit), Some(rss)) = (rss_limit, rss) {
         if rss > limit {
@@ -280,10 +271,5 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         summary.push_str(&format!(" (under the {} limit)", human_bytes(limit)));
     }
 
-    Ok(RunOutput {
-        message: summary,
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
-    })
+    Ok(common.output(summary, false))
 }

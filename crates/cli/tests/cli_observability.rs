@@ -205,16 +205,21 @@ fn trace_to_stdout_moves_summary_to_stderr() {
     let dir = scratch("stdout");
     let (lib, nets, calls, io) = write_inputs(&dir);
     let out = dir.join("out").to_string_lossy().into_owned();
-    let run = netart(&[
-        "-L", &lib, "-o", &out, "--trace-out", "-", &nets, &calls, &io,
-    ]);
-    assert!(run.status.success(), "{:?}", run);
-    let stdout = String::from_utf8(run.stdout).expect("stdout is UTF-8");
-    check_trace(&stdout);
-    assert!(
-        !String::from_utf8_lossy(&run.stderr).is_empty(),
-        "summary should move to stderr"
-    );
+    let runs: [&[&str]; 3] = [
+        &["-L", &lib, "-o", &out, "--trace-out", "-", &nets, &calls, &io],
+        &["profile", "-L", &lib, "--trace-out", "-", &nets, &calls, &io],
+        &["stress", "--modules", "50", "--phase", "parse", "--trace-out", "-"],
+    ];
+    for args in runs {
+        let run = netart(args);
+        assert!(run.status.success(), "{args:?}: {run:?}");
+        let stdout = String::from_utf8(run.stdout).expect("stdout is UTF-8");
+        check_trace(&stdout);
+        assert!(
+            !String::from_utf8_lossy(&run.stderr).is_empty(),
+            "{args:?}: summary should move to stderr"
+        );
+    }
     let _ = fs::remove_dir_all(dir);
 }
 
@@ -222,23 +227,19 @@ fn trace_to_stdout_moves_summary_to_stderr() {
 fn double_stdout_claim_fails_loudly() {
     let dir = scratch("claim");
     let (lib, nets, calls, io) = write_inputs(&dir);
-    let run = netart(&[
-        "-L",
-        &lib,
-        "--report-json",
-        "-",
-        "--trace-out",
-        "-",
-        &nets,
-        &calls,
-        &io,
-    ]);
-    assert_eq!(run.status.code(), Some(1), "{:?}", run);
-    assert!(
-        String::from_utf8_lossy(&run.stderr).contains("claim stdout"),
-        "{:?}",
-        run
-    );
+    let runs: [&[&str]; 2] = [
+        &["-L", &lib, "--report-json", "-", "--trace-out", "-", &nets, &calls, &io],
+        &["profile", "-L", &lib, "--heat-json", "-", "--trace-out", "-", &nets, &calls, &io],
+    ];
+    for args in runs {
+        let run = netart(args);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {run:?}");
+        assert!(run.stdout.is_empty(), "{args:?}: {run:?}");
+        assert!(
+            String::from_utf8_lossy(&run.stderr).contains("claim stdout"),
+            "{args:?}: {run:?}"
+        );
+    }
     let _ = fs::remove_dir_all(dir);
 }
 
