@@ -56,15 +56,16 @@ fn scaling_point(workload: &text::TextWorkload, route: bool) -> Json {
     row.set("budget_charged_bytes", Json::Uint(budget.used()));
     row.set("parse_s", Json::Float(parse_s));
     if route {
-        let t = Instant::now();
         let out = Generator::new().generate(network);
-        row.set("route_s", Json::Float(t.elapsed().as_secs_f64()));
+        row.set("place_s", Json::Float(out.place_time.as_secs_f64()));
+        row.set("route_s", Json::Float(out.route_time.as_secs_f64()));
         row.set("routed", Json::Uint(out.report.routed.len() as u64));
         row.set(
             "failed",
             Json::Uint(out.report.failed.len() as u64),
         );
     } else {
+        row.set("place_s", Json::Null);
         row.set("route_s", Json::Null);
     }
     row

@@ -1,14 +1,16 @@
-use std::collections::{HashMap, HashSet};
-
-use netart_geom::{Axis, Dir, Point, Segment};
+use netart_geom::{Axis, Point, Segment};
 
 /// The routed geometry of one net: a set of axis-aligned segments that
 /// together form the net's wires.
 ///
-/// All metrics are computed on the *unit-edge graph* covered by the
-/// segments — every grid step covered by some segment is an edge — which
-/// makes them robust against overlapping or touching segment
-/// representations of the same wire.
+/// All metrics are *defined* on the unit-edge graph covered by the
+/// segments — every grid step covered by some segment is an edge, every
+/// covered point a node — which makes them robust against overlapping,
+/// duplicated or touching segment representations of the same wire.
+/// They are *computed* from the k segments alone, in time polynomial in
+/// k and independent of the wire length: a point's incident edges are
+/// read off the segments through it, and only segment endpoints and
+/// perpendicular crossings can be bends or branch points.
 ///
 /// # Examples
 ///
@@ -30,6 +32,14 @@ use netart_geom::{Axis, Dir, Point, Segment};
 pub struct NetPath {
     segments: Vec<Segment>,
 }
+
+/// Direction bits of a [`NetPath::dirs_at`] mask.
+const LEFT: u8 = 1;
+const RIGHT: u8 = 2;
+const UP: u8 = 4;
+const DOWN: u8 = 8;
+const HORIZONTAL: u8 = LEFT | RIGHT;
+const VERTICAL: u8 = UP | DOWN;
 
 impl NetPath {
     /// An empty path (an unrouted net).
@@ -58,53 +68,51 @@ impl NetPath {
         self.segments.is_empty()
     }
 
-    /// The set of unit edges covered, as (point, direction-right-or-up)
-    /// pairs, deduplicated.
-    fn unit_edges(&self) -> HashSet<(Point, Axis)> {
-        let mut edges = HashSet::new();
+    /// The directions in which a unit edge of the path leaves `p`, as a
+    /// mask of the `LEFT`/`RIGHT`/`UP`/`DOWN` bits: a point's degree in
+    /// the unit-edge graph is the mask's popcount.
+    fn dirs_at(&self, p: Point) -> u8 {
+        let mut mask = 0;
         for seg in &self.segments {
+            let (along, across, neg, pos) = match seg.axis() {
+                Axis::Horizontal => (p.x, p.y, LEFT, RIGHT),
+                Axis::Vertical => (p.y, p.x, DOWN, UP),
+            };
+            if seg.track() != across {
+                continue;
+            }
             let span = seg.span();
-            for v in span.lo()..span.hi() {
-                edges.insert((seg.point_at(v), seg.axis()));
+            if span.lo() < along && along <= span.hi() {
+                mask |= neg;
+            }
+            if span.lo() <= along && along < span.hi() {
+                mask |= pos;
             }
         }
-        edges
+        mask
     }
 
-    /// Adjacency of the unit-edge graph: every covered point mapped to
-    /// the directions in which a unit edge leaves it.
-    fn adjacency(&self) -> HashMap<Point, Vec<Dir>> {
-        let mut adj: HashMap<Point, Vec<Dir>> = HashMap::new();
-        let mut connect = |p: Point, d: Dir| {
-            let dirs = adj.entry(p).or_default();
-            if !dirs.contains(&d) {
-                dirs.push(d);
-            }
-        };
-        for (p, axis) in self.unit_edges() {
-            match axis {
-                Axis::Horizontal => {
-                    connect(p, Dir::Right);
-                    connect(p.step(Dir::Right), Dir::Left);
-                }
-                Axis::Vertical => {
-                    connect(p, Dir::Up);
-                    connect(p.step(Dir::Up), Dir::Down);
-                }
-            }
-        }
-        // Degenerate segments contribute isolated points.
-        for seg in &self.segments {
-            if seg.is_point() {
-                adj.entry(seg.endpoints().0).or_default();
-            }
-        }
-        adj
+    /// The distinct segment endpoints, sorted. A point strictly inside a
+    /// segment has both of that axis's edges, so every node of degree
+    /// one, every bend and every joint of collinear pieces is among
+    /// these.
+    fn endpoints(&self) -> Vec<Point> {
+        let mut pts: Vec<Point> = self
+            .segments
+            .iter()
+            .flat_map(|s| {
+                let (a, b) = s.endpoints();
+                [a, b]
+            })
+            .collect();
+        pts.sort_unstable();
+        pts.dedup();
+        pts
     }
 
     /// Total wire length: the number of distinct unit edges covered.
     pub fn length(&self) -> u32 {
-        self.unit_edges().len() as u32
+        runs(&self.segments).iter().map(Segment::len).sum()
     }
 
     /// Number of bends: points where the wire turns a corner (degree-2
@@ -113,22 +121,31 @@ impl NetPath {
     /// Rule 6 of the paper asks to keep this low; the line-expansion
     /// router minimises it per net.
     pub fn bends(&self) -> u32 {
-        self.adjacency()
-            .values()
-            .filter(|dirs| dirs.len() == 2 && dirs[0].axis() != dirs[1].axis())
+        self.endpoints()
+            .into_iter()
+            .filter(|&p| {
+                let mask = self.dirs_at(p);
+                (mask & HORIZONTAL).count_ones() == 1 && (mask & VERTICAL).count_ones() == 1
+            })
             .count() as u32
     }
 
     /// Points where the net branches (degree ≥ 3): the paper's
     /// "branching nodes", kept low by Rule 6.
     pub fn branch_points(&self) -> Vec<Point> {
-        let mut pts: Vec<Point> = self
-            .adjacency()
-            .into_iter()
-            .filter(|(_, dirs)| dirs.len() >= 3)
-            .map(|(p, _)| p)
-            .collect();
+        // A branch point that is no segment endpoint lies strictly
+        // inside a horizontal and a vertical segment.
+        let mut pts = self.endpoints();
+        for (i, a) in self.segments.iter().enumerate() {
+            for b in &self.segments[i + 1..] {
+                if a.crosses_interior(b) {
+                    pts.extend(a.crossing(b));
+                }
+            }
+        }
         pts.sort_unstable();
+        pts.dedup();
+        pts.retain(|&p| self.dirs_at(p).count_ones() >= 3);
         pts
     }
 
@@ -143,102 +160,48 @@ impl NetPath {
     /// This is the electrical soundness check: a routed net must be one
     /// connected tree through all its pins.
     pub fn connects(&self, terminals: &[Point]) -> bool {
-        if terminals.is_empty() {
+        let Some(&first) = terminals.first() else {
             return true;
-        }
-        let adj = self.adjacency();
-        if terminals.iter().any(|t| !adj.contains_key(t)) {
+        };
+        let cover = Cover::of(&self.segments);
+        let Some(component) = cover.component_of(first) else {
             return false;
-        }
-        // BFS from the first terminal over unit edges.
-        let mut seen = HashSet::new();
-        let mut queue = vec![terminals[0]];
-        seen.insert(terminals[0]);
-        while let Some(p) = queue.pop() {
-            if let Some(dirs) = adj.get(&p) {
-                for &d in dirs {
-                    let q = p.step(d);
-                    if seen.insert(q) {
-                        queue.push(q);
-                    }
-                }
-            }
-        }
-        terminals.iter().all(|t| seen.contains(t))
+        };
+        terminals[1..]
+            .iter()
+            .all(|&t| cover.component_of(t) == Some(component))
     }
 
     /// `true` when the covered geometry contains a cycle, in any
     /// connected component. Partial preroutes may be disconnected (the
     /// router completes them) but Appendix F forbids cycles.
     pub fn has_cycle(&self) -> bool {
-        let adj = self.adjacency();
-        let edges = self.unit_edges().len();
-        // Count connected components over the covered points.
-        let mut seen: HashSet<Point> = HashSet::new();
-        let mut components = 0;
-        for &start in adj.keys() {
-            if !seen.insert(start) {
-                continue;
-            }
-            components += 1;
-            let mut queue = vec![start];
-            while let Some(p) = queue.pop() {
-                for &d in &adj[&p] {
-                    let q = p.step(d);
-                    if seen.insert(q) {
-                        queue.push(q);
-                    }
-                }
-            }
-        }
-        edges + components != adj.len()
+        let cover = Cover::of(&self.segments);
+        cover.edges + cover.components() != cover.nodes
     }
 
     /// `true` when the covered geometry is a tree (connected and without
     /// cycles). An empty path is trivially a tree.
     pub fn is_tree(&self) -> bool {
-        let adj = self.adjacency();
-        if adj.is_empty() {
-            return true;
-        }
-        let nodes = adj.len();
-        let edges = self.unit_edges().len();
-        if edges + 1 != nodes {
-            return false;
-        }
-        // Connectivity: reach all nodes from any one.
-        let start = *adj.keys().next().expect("non-empty");
-        let mut seen = HashSet::new();
-        let mut queue = vec![start];
-        seen.insert(start);
-        while let Some(p) = queue.pop() {
-            for &d in &adj[&p] {
-                let q = p.step(d);
-                if seen.insert(q) {
-                    queue.push(q);
-                }
-            }
-        }
-        seen.len() == nodes
+        let cover = Cover::of(&self.segments);
+        cover.nodes == 0 || (cover.edges + 1 == cover.nodes && cover.components() == 1)
     }
 
     /// Interior crossing points between this path and another net's
     /// path: the "crossovers" of Rule 6. Each geometric point is
     /// reported once.
     pub fn crossings_with(&self, other: &NetPath) -> Vec<Point> {
-        let mut pts = HashSet::new();
+        let mut pts = Vec::new();
         for a in &self.segments {
             for b in &other.segments {
                 if a.crosses_interior(b) {
-                    if let Some(p) = a.crossing(b) {
-                        pts.insert(p);
-                    }
+                    pts.extend(a.crossing(b));
                 }
             }
         }
-        let mut v: Vec<Point> = pts.into_iter().collect();
-        v.sort_unstable();
-        v
+        pts.sort_unstable();
+        pts.dedup();
+        pts
     }
 
     /// Points shared with another path that are *not* legal perpendicular
@@ -246,26 +209,101 @@ impl NetPath {
     /// which the routing postcondition forbids ("the only common points
     /// of different nets are crossing points", §5.3).
     pub fn illegal_contacts_with(&self, other: &NetPath) -> Vec<Point> {
-        let my_adj = self.adjacency();
-        let their_adj = other.adjacency();
-        let mut bad: Vec<Point> = my_adj
-            .iter()
-            .filter_map(|(p, my_dirs)| {
-                let their_dirs = their_adj.get(p)?;
-                // A legal crossing: this net passes straight through on
-                // one axis, the other net straight through on the other.
-                let straight = |dirs: &[Dir]| -> Option<Axis> {
-                    (dirs.len() == 2 && dirs[0].axis() == dirs[1].axis())
-                        .then(|| dirs[0].axis())
-                };
-                match (straight(my_dirs), straight(their_dirs)) {
-                    (Some(a), Some(b)) if a != b => None,
-                    _ => Some(*p),
+        let mut shared = Vec::new();
+        for a in &self.segments {
+            for b in &other.segments {
+                if let Some(p) = a.crossing(b) {
+                    shared.push(p);
+                } else if let Some(o) = a.overlap(b) {
+                    shared.extend(o.span().iter().map(|v| o.point_at(v)));
                 }
-            })
-            .collect();
-        bad.sort_unstable();
-        bad
+            }
+        }
+        shared.sort_unstable();
+        shared.dedup();
+        // A legal crossing: this net passes straight through on one
+        // axis, the other net straight through on the other.
+        shared.retain(|&p| {
+            !matches!(
+                (self.dirs_at(p), other.dirs_at(p)),
+                (HORIZONTAL, VERTICAL) | (VERTICAL, HORIZONTAL)
+            )
+        });
+        shared
+    }
+}
+
+/// `segments` merged per (axis, track) wherever their spans share a
+/// point: pairwise disjoint maximal runs, sorted (horizontal first).
+fn runs(segments: &[Segment]) -> Vec<Segment> {
+    let mut sorted = segments.to_vec();
+    sorted.sort_unstable();
+    let mut runs: Vec<Segment> = Vec::with_capacity(sorted.len());
+    for seg in sorted {
+        match runs.last_mut() {
+            Some(run)
+                if run.axis() == seg.axis()
+                    && run.track() == seg.track()
+                    && seg.span().lo() <= run.span().hi() =>
+            {
+                *run = Segment::on_axis(run.axis(), run.track(), run.span().hull(seg.span()));
+            }
+            _ => runs.push(seg),
+        }
+    }
+    runs
+}
+
+/// The unit-edge graph of a path counted from its runs: each run is a
+/// connected chain of `len + 1` nodes, and two runs share a node only
+/// where a horizontal run meets a vertical one.
+struct Cover {
+    runs: Vec<Segment>,
+    /// Union-find parent links over `runs`.
+    parent: Vec<usize>,
+    /// Distinct covered points.
+    nodes: usize,
+    /// Distinct covered unit edges.
+    edges: usize,
+}
+
+impl Cover {
+    fn of(segments: &[Segment]) -> Cover {
+        let runs = runs(segments);
+        let mut cover = Cover {
+            parent: (0..runs.len()).collect(),
+            nodes: runs.iter().map(|r| r.len() as usize + 1).sum(),
+            edges: runs.iter().map(|r| r.len() as usize).sum(),
+            runs,
+        };
+        let verticals = cover.runs.partition_point(|r| r.axis() == Axis::Horizontal);
+        for h in 0..verticals {
+            for v in verticals..cover.runs.len() {
+                if cover.runs[h].crossing(&cover.runs[v]).is_some() {
+                    cover.nodes -= 1;
+                    let (a, b) = (cover.find(h), cover.find(v));
+                    cover.parent[a] = b;
+                }
+            }
+        }
+        cover
+    }
+
+    fn find(&self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            i = self.parent[i];
+        }
+        i
+    }
+
+    /// The component holding `p`, or `None` when `p` is not covered.
+    fn component_of(&self, p: Point) -> Option<usize> {
+        let run = self.runs.iter().position(|r| r.contains(p))?;
+        Some(self.find(run))
+    }
+
+    fn components(&self) -> usize {
+        (0..self.runs.len()).filter(|&i| self.find(i) == i).count()
     }
 }
 

@@ -295,12 +295,12 @@ impl<'a> Search<'a> {
     pub(crate) fn run(&mut self, meter: &mut BudgetMeter) -> SearchResult {
         let mut gen = 0u32;
         loop {
-            // A candidate is final once no unexpanded active (all of
-            // bend generation >= gen) can start a cheaper path.
-            // A candidate becomes final once the generation counter
-            // reaches its geometric bend count: zero-length trace hops
-            // can merge segments, so later generations occasionally
-            // hold a path with fewer geometric bends, which is why the
+            // A candidate is final once the generation counter reaches
+            // its geometric bend count: every active still to expand
+            // has a wave number of at least `gen`, so it cannot start a
+            // path of fewer waves. Zero-length trace hops can merge
+            // segments, so a later generation occasionally holds a path
+            // with fewer geometric bends than waves, which is why the
             // paper promises minimal bends only "in most cases" (§5.8).
             let best = self.candidates.iter().map(|c| c.bends).min();
             if let Some(best) = best {
