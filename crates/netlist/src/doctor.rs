@@ -1,13 +1,13 @@
-//! The netlist doctor: semantic validation and auto-repair between
-//! parse and placement.
+//! The netlist doctor: the parser for the Appendix A network files and
+//! Appendix B quinto module descriptions, with semantic validation and
+//! auto-repair before placement.
 //!
 //! Real-world netlist inputs are noisy — dangling nets, duplicate
 //! records, references to templates that never made it into the
-//! library, terminals drawn off the module outline. The plain
-//! [`crate::format`] parsers fail fast on the first such defect; the
-//! doctor instead scans the *whole* input leniently, collects every
-//! defect as a [`Diagnostic`] with a stable code (`ND001`…), and then
-//! resolves them under an [`InputPolicy`]:
+//! library, terminals drawn off the module outline. The doctor scans
+//! the *whole* input, collects every defect as a [`Diagnostic`] with a
+//! stable code (`ND001`…) and its line, and then resolves them under an
+//! [`InputPolicy`]:
 //!
 //! * [`InputPolicy::Strict`] — any error-severity diagnostic rejects
 //!   the input, reporting **all** diagnostics at once (not just the
@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use netart_govern::{Exhausted, MemBudget};
 
-use crate::format::NetworkFile;
+use crate::format::quinto::GRID;
 use crate::ingest::{records_from_str, Record};
 use crate::{BuildError, Library, Network, NetworkBuilder, Template, TermType};
 
@@ -209,16 +209,6 @@ impl DoctorFile {
             DoctorFile::Io => "io",
             DoctorFile::Module => "module",
             DoctorFile::Seed => "seed",
-        }
-    }
-}
-
-impl From<NetworkFile> for DoctorFile {
-    fn from(f: NetworkFile) -> Self {
-        match f {
-            NetworkFile::NetList => DoctorFile::NetList,
-            NetworkFile::Calls => DoctorFile::Calls,
-            NetworkFile::Io => DoctorFile::Io,
         }
     }
 }
@@ -410,13 +400,14 @@ enum NamedPin {
     System(String),
 }
 
-/// Runs the doctor over the three Appendix A files.
+/// Parses and doctors the three Appendix A files.
 ///
-/// This is the lenient sibling of [`crate::format::parse_network`]: it
-/// scans everything, diagnoses every defect, and — depending on
-/// `policy` — repairs or rejects. On success the returned network is
-/// always structurally valid (placement and routing can take it as-is)
-/// and the report lists what was found and fixed.
+/// It scans everything, diagnoses every defect, and — depending on
+/// `policy` — repairs or rejects. `io_file` may be omitted when the
+/// network has no system terminals, exactly as in the paper's `pablo`
+/// command line. On success the returned network is always structurally
+/// valid (placement and routing can take it as-is) and the report lists
+/// what was found and fixed.
 ///
 /// # Errors
 ///
@@ -867,13 +858,14 @@ fn find_driver_cycle(network: &Network) -> Option<String> {
     None
 }
 
-/// Runs the doctor over one quinto module description.
+/// Parses and doctors one quinto module description, dividing every
+/// size and coordinate by the 10-unit editor grid.
 ///
-/// The lenient sibling of [`crate::format::quinto::parse_module`]:
-/// off-grid coordinates are snapped to the nearest multiple of 10,
+/// Off-grid values are snapped to the nearest multiple of 10,
 /// off-boundary terminals are snapped to the nearest outline point,
 /// and duplicate terminal names/positions keep the first record —
-/// each under the usual policy rules.
+/// each under the usual policy rules. A value that would snap beyond
+/// the `i32` range is a malformed record with no repair.
 ///
 /// # Errors
 ///
@@ -931,37 +923,39 @@ pub fn doctor_module_records(
         return Err(unusable(diags));
     };
     let grid = |field: &str, what: &str, line: usize, diags: &mut Vec<Diagnostic>| {
-        let v: i32 = match field.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                diags.push(Diagnostic::error(
-                    DoctorCode::MalformedRecord,
-                    DoctorFile::Module,
-                    line,
-                    format!("{what} `{field}` is not an integer"),
-                ));
-                return None;
-            }
+        let malformed = |message: String| {
+            Diagnostic::error(DoctorCode::MalformedRecord, DoctorFile::Module, line, message)
         };
-        if v % 10 == 0 {
-            return Some(v / 10);
+        let Ok(v) = field.parse::<i32>() else {
+            diags.push(malformed(format!("{what} `{field}` is not an integer")));
+            return None;
+        };
+        if v % GRID == 0 {
+            return Some(v / GRID);
         }
-        let snapped = ((v + if v >= 0 { 5 } else { -5 }) / 10) * 10;
+        // Round half away from zero in i64: near the ends of the i32
+        // range the nearest multiple of the grid is past them.
+        let half = i64::from(GRID / 2) * i64::from(v.signum());
+        let snapped = (i64::from(v) + half) / i64::from(GRID) * i64::from(GRID);
+        let Ok(snapped) = i32::try_from(snapped) else {
+            diags.push(malformed(format!("{what} {v} is out of range")));
+            return None;
+        };
         let snapped = if what.ends_with("coordinate") {
             snapped
         } else {
-            snapped.max(10) // a size snapped to 0 would be degenerate
+            snapped.max(GRID) // a size snapped to 0 would be degenerate
         };
         diags.push(
             Diagnostic::error(
                 DoctorCode::OffGridCoordinate,
                 DoctorFile::Module,
                 line,
-                format!("{what} {v} is not divisible by 10"),
+                format!("{what} {v} is not divisible by {GRID}"),
             )
             .with_repair(format!("snapped to {snapped}")),
         );
-        Some(snapped / 10)
+        Some(snapped / GRID)
     };
 
     let (Some(width), Some(height)) = (
@@ -1019,11 +1013,11 @@ pub fn doctor_module_records(
                     line,
                     format!(
                         "terminal `{term}` at ({}, {}) is not on the module outline",
-                        x * 10,
-                        y * 10
+                        x * GRID,
+                        y * GRID
                     ),
                 )
-                .with_repair(format!("moved to ({}, {})", sx * 10, sy * 10)),
+                .with_repair(format!("moved to ({}, {})", sx * GRID, sy * GRID)),
             );
             (x, y) = (sx, sy);
         }
@@ -1041,8 +1035,8 @@ pub fn doctor_module_records(
                     line,
                     format!(
                         "terminal `{term}` at ({}, {}) duplicates an earlier terminal's {what}",
-                        x * 10,
-                        y * 10
+                        x * GRID,
+                        y * GRID
                     ),
                 )
                 .with_repair("dropped the record"),
@@ -1343,6 +1337,38 @@ mod tests {
             assert!(doctor_module("", policy).is_err());
             assert!(doctor_module("modul m 40 20\n", policy).is_err());
             assert!(doctor_module("module m forty 20\n", policy).is_err());
+        }
+    }
+
+    #[test]
+    fn doctor_module_rejects_values_that_snap_past_i32() {
+        for v in [i32::MAX, i32::MIN] {
+            let heading = format!("module m {v} 20\n");
+            let terminal = format!("module m 40 20\nin a 0 10\nout y 40 {v}\n");
+            for policy in [InputPolicy::Strict, InputPolicy::Repair, InputPolicy::BestEffort] {
+                let e = doctor_module(&heading, policy).unwrap_err();
+                assert_eq!(codes(&e.diagnostics), [DoctorCode::MalformedRecord], "{policy}");
+                assert!(e.diagnostics[0].message.contains("out of range"), "{e}");
+
+                let doctored = doctor_module(&terminal, policy);
+                if policy == InputPolicy::BestEffort {
+                    let (t, report) = doctored.unwrap();
+                    assert_eq!(t.terminal_count(), 1, "the record is skipped");
+                    assert_eq!(codes(&report.diagnostics), [DoctorCode::MalformedRecord]);
+                } else {
+                    let e = doctored.unwrap_err();
+                    assert_eq!(codes(&e.diagnostics), [DoctorCode::MalformedRecord], "{policy}");
+                    assert_eq!(e.diagnostics[0].line, 3);
+                }
+            }
+        }
+        // One step inside the range the nearest multiple still fits.
+        for (v, snapped) in [(i32::MAX - 6, i32::MAX - 7), (i32::MIN + 7, i32::MIN + 8)] {
+            let src = format!("module m 40 20\nin a 0 {v}\n");
+            let (_, report) = doctor_module(&src, InputPolicy::Repair).unwrap();
+            let d = &report.diagnostics[0];
+            assert_eq!(d.code, DoctorCode::OffGridCoordinate);
+            assert_eq!(d.repair, Some(format!("snapped to {snapped}")));
         }
     }
 

@@ -139,14 +139,15 @@ impl fmt::Display for BuildError {
 
 impl Error for BuildError {}
 
-/// Error parsing one of the Appendix A/B file formats.
+/// Error parsing one of the line-oriented record formats that have no
+/// doctor: ESCHER diagrams, the Appendix C library representation and
+/// the batch manifest. (Appendix A and B input goes through
+/// [`crate::doctor`], which reports [`crate::doctor::Diagnostic`]s.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line number where parsing failed.
+    /// 1-based line number where parsing failed (0 when the error is
+    /// not tied to a line).
     pub line: usize,
-    /// 1-based column of the offending field (0 when the error is not
-    /// tied to a single column).
-    pub column: usize,
     /// What went wrong.
     pub message: String,
 }
@@ -158,38 +159,14 @@ impl ParseError {
     pub fn new(line: usize, message: impl Into<String>) -> Self {
         ParseError {
             line,
-            column: 0,
             message: message.into(),
         }
-    }
-
-    /// Creates a parse error pointing at a line *and* column, both
-    /// 1-based.
-    pub fn at(line: usize, column: usize, message: impl Into<String>) -> Self {
-        ParseError {
-            line,
-            column,
-            message: message.into(),
-        }
-    }
-
-    /// The column (1-based, in characters) where `field` starts inside
-    /// `line_text`, for pointing an error at the offending field. Falls
-    /// back to 0 (no column) when the field cannot be located.
-    pub fn column_of(line_text: &str, field: &str) -> usize {
-        line_text
-            .find(field)
-            .map_or(0, |byte| line_text[..byte].chars().count() + 1)
     }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.column > 0 {
-            write!(f, "line {}, column {}: {}", self.line, self.column, self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
+        write!(f, "line {}: {}", self.line, self.message)
     }
 }
 

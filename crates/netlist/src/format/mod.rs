@@ -15,25 +15,34 @@
 //! [`quinto`]; Appendix C's library representation of a module symbol
 //! lives in [`template_repr`].
 //!
+//! This module holds the writers. Reading goes through the netlist
+//! doctor ([`crate::doctor`]), the one parser for Appendices A and B:
+//! under [`InputPolicy::Strict`](crate::doctor::InputPolicy::Strict) it
+//! rejects any defective input with every diagnostic at once, and the
+//! other policies repair what has a documented fix.
+//!
 //! # Examples
 //!
 //! ```
-//! use netart_netlist::format;
+//! use netart_netlist::doctor::{doctor_module, doctor_network, InputPolicy};
+//! use netart_netlist::{format, Library};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let lib = format::quinto::parse_module(
+//! let (inv, _) = doctor_module(
 //!     "module inv 40 20\nin a 0 10\nout y 40 10\n",
-//! ).map(|t| {
-//!     let mut lib = netart_netlist::Library::new();
-//!     lib.add_template(t).unwrap();
-//!     lib
-//! })?;
-//! let network = format::parse_network(
+//!     InputPolicy::Strict,
+//! )?;
+//! let mut lib = Library::new();
+//! lib.add_template(inv)?;
+//! let (network, report) = doctor_network(
 //!     lib,
 //!     "n0 u0 y\nn0 u1 a\nnin root in\nnin u0 a\n",
 //!     "u0 inv\nu1 inv\n",
 //!     Some("in in\n"),
+//!     InputPolicy::Strict,
 //! )?;
 //! assert_eq!(network.module_count(), 2);
+//! assert!(report.diagnostics.is_empty());
+//! assert_eq!(format::write_call_file(&network), "u0 inv\nu1 inv\n");
 //! # Ok(())
 //! # }
 //! ```
@@ -41,150 +50,7 @@
 pub mod quinto;
 pub mod template_repr;
 
-use crate::{Library, Network, NetworkBuilder, ParseError, TermType};
-
-/// Splits a record file into `(line_number, line_text, fields)` tuples,
-/// skipping blank lines and `#` comment lines (an extension for
-/// readability; the paper's files contain only records). The raw line
-/// text rides along so errors can point at the offending column.
-pub(crate) fn records(src: &str) -> impl Iterator<Item = (usize, &str, Vec<&str>)> {
-    src.lines().enumerate().filter_map(|(i, line)| {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            None
-        } else {
-            Some((i + 1, line, trimmed.split_whitespace().collect()))
-        }
-    })
-}
-
-/// A parse error pointing at `field` inside `text` on `line`.
-fn field_error(line: usize, text: &str, field: &str, message: String) -> ParseError {
-    ParseError::at(line, ParseError::column_of(text, field), message)
-}
-
-/// Which of the three Appendix A input files a [`ParseError`] came
-/// from, so callers reporting to a user can name the right path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetworkFile {
-    /// The net-list file (`design.net`).
-    NetList,
-    /// The call file (`design.call`).
-    Calls,
-    /// The io file (`design.io`).
-    Io,
-}
-
-/// Parses the three Appendix A files into a validated [`Network`].
-///
-/// `io_file` may be omitted when the network has no system terminals,
-/// exactly as in the paper's `pablo` command line.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] pointing at the offending record for
-/// malformed fields, unknown templates/instances/terminals, pin
-/// conflicts, or nets with fewer than two pins. Use
-/// [`parse_network_tagged`] when the caller needs to know which file
-/// the error came from.
-pub fn parse_network(
-    library: Library,
-    net_list_file: &str,
-    call_file: &str,
-    io_file: Option<&str>,
-) -> Result<Network, ParseError> {
-    parse_network_tagged(library, net_list_file, call_file, io_file).map_err(|(_, e)| e)
-}
-
-/// Like [`parse_network`], but errors carry the [`NetworkFile`] they
-/// occurred in.
-///
-/// # Errors
-///
-/// As [`parse_network`]; builder-level errors that only surface once
-/// all files are read (e.g. an underfilled net) are attributed to the
-/// net-list file.
-pub fn parse_network_tagged(
-    library: Library,
-    net_list_file: &str,
-    call_file: &str,
-    io_file: Option<&str>,
-) -> Result<Network, (NetworkFile, ParseError)> {
-    let mut b = NetworkBuilder::new(library);
-
-    parse_calls(&mut b, call_file).map_err(|e| (NetworkFile::Calls, e))?;
-    if let Some(io) = io_file {
-        parse_io(&mut b, io).map_err(|e| (NetworkFile::Io, e))?;
-    }
-    parse_nets(&mut b, net_list_file).map_err(|e| (NetworkFile::NetList, e))?;
-
-    b.finish()
-        .map_err(|e| (NetworkFile::NetList, ParseError::new(0, e.to_string())))
-}
-
-fn parse_calls(b: &mut NetworkBuilder, call_file: &str) -> Result<(), ParseError> {
-    for (line, text, fields) in records(call_file) {
-        let [instance, template] = fields[..] else {
-            return Err(ParseError::new(
-                line,
-                format!("call-file record needs 2 fields, got {}", fields.len()),
-            ));
-        };
-        let id = b.library().template_by_name(template).ok_or_else(|| {
-            field_error(line, text, template, format!("unknown template `{template}`"))
-        })?;
-        b.add_instance(instance, id)
-            .map_err(|e| field_error(line, text, instance, e.to_string()))?;
-    }
-    Ok(())
-}
-
-fn parse_io(b: &mut NetworkBuilder, io_file: &str) -> Result<(), ParseError> {
-    for (line, text, fields) in records(io_file) {
-        let [terminal, ty] = fields[..] else {
-            return Err(ParseError::new(
-                line,
-                format!("io-file record needs 2 fields, got {}", fields.len()),
-            ));
-        };
-        let ty: TermType = ty
-            .parse()
-            .map_err(|e: String| field_error(line, text, ty, e))?;
-        b.add_system_terminal(terminal, ty)
-            .map_err(|e| field_error(line, text, terminal, e.to_string()))?;
-    }
-    Ok(())
-}
-
-fn parse_nets(b: &mut NetworkBuilder, net_list_file: &str) -> Result<(), ParseError> {
-    for (line, text, fields) in records(net_list_file) {
-        let [net, instance, terminal] = fields[..] else {
-            return Err(ParseError::new(
-                line,
-                format!("net-list record needs 3 fields, got {}", fields.len()),
-            ));
-        };
-        if instance == "root" {
-            let st = b.system_term_by_name(terminal).ok_or_else(|| {
-                field_error(
-                    line,
-                    text,
-                    terminal,
-                    format!("unknown system terminal `{terminal}`"),
-                )
-            })?;
-            b.connect(net, st)
-                .map_err(|e| field_error(line, text, net, e.to_string()))?;
-        } else {
-            let m = b.instance_by_name(instance).ok_or_else(|| {
-                field_error(line, text, instance, format!("unknown instance `{instance}`"))
-            })?;
-            b.connect_pin(net, m, terminal)
-                .map_err(|e| field_error(line, text, terminal, e.to_string()))?;
-        }
-    }
-    Ok(())
-}
+use crate::Network;
 
 /// Writes the call-file for a network.
 pub fn write_call_file(network: &Network) -> String {
@@ -240,7 +106,8 @@ pub fn write_net_list_file(network: &Network) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Template, TermType};
+    use crate::doctor::{doctor_network, DoctorCode, InputPolicy};
+    use crate::{Library, Template, TermType};
 
     fn lib() -> Library {
         let mut lib = Library::new();
@@ -256,15 +123,21 @@ mod tests {
         lib
     }
 
+    /// Parses under `Strict` and requires a clean report: no
+    /// diagnostic at all, not even a warning.
+    fn parse(nets: &str, calls: &str, io: Option<&str>) -> Network {
+        let (net, report) = doctor_network(lib(), nets, calls, io, InputPolicy::Strict).unwrap();
+        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+        net
+    }
+
     #[test]
     fn parse_minimal_network() {
-        let net = parse_network(
-            lib(),
+        let net = parse(
             "n0 u0 y\nn0 u1 a\nnin root in\nnin u0 a\nnout u1 y\nnout root out\n",
             "u0 inv\nu1 inv\n",
             Some("in in\nout out\n"),
-        )
-        .unwrap();
+        );
         assert_eq!(net.module_count(), 2);
         assert_eq!(net.net_count(), 3);
         assert_eq!(net.system_term_count(), 2);
@@ -272,49 +145,56 @@ mod tests {
 
     #[test]
     fn io_file_optional() {
-        let net = parse_network(lib(), "n0 u0 y\nn0 u1 a\n", "u0 inv\nu1 inv\n", None).unwrap();
+        let net = parse("n0 u0 y\nn0 u1 a\n", "u0 inv\nu1 inv\n", None);
         assert_eq!(net.system_term_count(), 0);
     }
 
     #[test]
     fn comments_and_blank_lines_skipped() {
-        let net = parse_network(
-            lib(),
+        let net = parse(
             "# the only net\n\nn0 u0 y\nn0 u1 a\n",
             "u0 inv\n\n# second\nu1 inv\n",
             None,
-        )
-        .unwrap();
+        );
         assert_eq!(net.net_count(), 1);
     }
 
     #[test]
     fn errors_carry_line_numbers() {
-        let e = parse_network(lib(), "", "u0 unknown_template\n", None).unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.message.contains("unknown template"));
+        let first = |nets: &str, calls: &str| {
+            let e = doctor_network(lib(), nets, calls, None, InputPolicy::Strict).unwrap_err();
+            e.diagnostics[0].clone()
+        };
+        let d = first("", "u0 unknown_template\n");
+        assert_eq!((d.code, d.line), (DoctorCode::UnknownTemplate, 1));
+        assert!(d.message.contains("unknown template"), "{d}");
 
-        let e = parse_network(lib(), "n0 nobody a\n", "u0 inv\n", None).unwrap_err();
-        assert!(e.message.contains("unknown instance"));
+        let d = first("n0 u0 y\nn0 nobody a\n", "u0 inv\n");
+        assert_eq!((d.code, d.line), (DoctorCode::UnknownInstance, 2));
 
-        let e = parse_network(lib(), "n0 u0 zz\n", "u0 inv\n", None).unwrap_err();
-        assert!(e.message.contains("no terminal"));
+        let d = first("n0 u0 zz\n", "u0 inv\n");
+        assert_eq!((d.code, d.line), (DoctorCode::UnknownTerminal, 1));
+        assert!(d.message.contains("no terminal"), "{d}");
 
-        let e = parse_network(lib(), "n0 root missing\n", "u0 inv\n", None).unwrap_err();
-        assert!(e.message.contains("unknown system terminal"));
+        let d = first("n0 root missing\n", "u0 inv\n");
+        assert!(d.message.contains("unknown system terminal"), "{d}");
 
-        let e = parse_network(lib(), "only-two-fields u0\n", "u0 inv\n", None).unwrap_err();
-        assert!(e.message.contains("3 fields"));
+        let d = first("only-two-fields u0\n", "u0 inv\n");
+        assert_eq!((d.code, d.line), (DoctorCode::MalformedRecord, 1));
+        assert!(d.message.contains("3 fields"), "{d}");
     }
 
     #[test]
     fn round_trip() {
-        let src_nets = "n0 u0 y\nn0 u1 a\nnin root in\nnin u0 a\n";
-        let net = parse_network(lib(), src_nets, "u0 inv\nu1 inv\n", Some("in in\n")).unwrap();
+        let net = parse(
+            "n0 u0 y\nn0 u1 a\nnin root in\nnin u0 a\n",
+            "u0 inv\nu1 inv\n",
+            Some("in in\n"),
+        );
         let calls = write_call_file(&net);
         let io = write_io_file(&net);
         let nets = write_net_list_file(&net);
-        let net2 = parse_network(lib(), &nets, &calls, Some(&io)).unwrap();
+        let net2 = parse(&nets, &calls, Some(&io));
         assert_eq!(net2.module_count(), net.module_count());
         assert_eq!(net2.net_count(), net.net_count());
         assert_eq!(net2.system_term_count(), net.system_term_count());

@@ -11,94 +11,16 @@
 //! The appendix imposes that width, height and terminal coordinates are
 //! divisible by 10 (the editor's display grid) and that terminals lie on
 //! the module outline. Internally the generator works on the coarse
-//! track grid, so [`parse_module`] divides all coordinates by 10 and
-//! [`write_module`] multiplies them back; a parse/write round trip is
-//! exact.
+//! track grid, so the doctor
+//! ([`doctor_module`](crate::doctor::doctor_module)) divides all
+//! coordinates by 10 and [`write_module`] multiplies them back; a
+//! read/write round trip is exact.
 
-use crate::{ParseError, Template, TermType};
+use crate::Template;
 
-const GRID: i32 = 10;
-
-fn grid_value(line: usize, text: &str, field: &str, what: &str) -> Result<i32, ParseError> {
-    let column = ParseError::column_of(text, field);
-    let v: i32 = field
-        .parse()
-        .map_err(|_| ParseError::at(line, column, format!("{what} `{field}` is not an integer")))?;
-    if v % GRID != 0 {
-        return Err(ParseError::at(
-            line,
-            column,
-            format!("{what} {v} is not divisible by {GRID}"),
-        ));
-    }
-    Ok(v / GRID)
-}
-
-/// Parses a quinto module description into a [`Template`].
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] for malformed headings or records, values
-/// not divisible by 10, terminals off the module outline, or duplicate
-/// terminals.
-pub fn parse_module(src: &str) -> Result<Template, ParseError> {
-    let mut lines = src
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (hline, heading): (usize, &str) = lines
-        .next()
-        .ok_or_else(|| ParseError::new(0, "empty module description"))?;
-    let fields: Vec<&str> = heading.split_whitespace().collect();
-    let ["module", name, w, h] = fields[..] else {
-        return Err(ParseError::new(
-            hline,
-            "heading must be `module <NAME> <WIDTH> <HEIGHT>`",
-        ));
-    };
-    let width = grid_value(hline, heading, w, "width")?;
-    let height = grid_value(hline, heading, h, "height")?;
-    let mut template = Template::new(name, (width, height))
-        .map_err(|e| ParseError::new(hline, e.to_string()))?;
-
-    for (line, record) in lines {
-        let fields: Vec<&str> = record.split_whitespace().collect();
-        let [ty, term, xs, ys] = fields[..] else {
-            return Err(ParseError::new(
-                line,
-                format!("terminal record needs 4 fields, got {}", fields.len()),
-            ));
-        };
-        let ty: TermType = ty.parse().map_err(|e: String| {
-            ParseError::at(line, ParseError::column_of(record, ty), e)
-        })?;
-        let x = grid_value(line, record, xs, "x-coordinate")?;
-        let y = grid_value(line, record, ys, "y-coordinate")?;
-        // The appendix's outline rule, checked here so the error can
-        // point at the offending coordinate field; `add_terminal`
-        // would reject it too, but only with the line number.
-        if x < 0 || x > width || y < 0 || y > height || (x != 0 && x != width && y != 0 && y != height) {
-            return Err(ParseError::at(
-                line,
-                ParseError::column_of(record, xs),
-                format!(
-                    "terminal `{term}` at ({}, {}) is not on the module outline \
-                     ({} x {})",
-                    x * GRID,
-                    y * GRID,
-                    width * GRID,
-                    height * GRID
-                ),
-            ));
-        }
-        template
-            .add_terminal(term, (x, y), ty)
-            .map_err(|e| ParseError::new(line, e.to_string()))?;
-    }
-    Ok(template)
-}
+/// The editor grid: one track of the generator's grid is this many
+/// quinto units.
+pub(crate) const GRID: i32 = 10;
 
 /// Writes a [`Template`] as a quinto module description.
 pub fn write_module(template: &Template) -> String {
@@ -119,12 +41,26 @@ pub fn write_module(template: &Template) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doctor::{doctor_module, Diagnostic, DoctorCode, InputPolicy};
 
     const INV: &str = "module inv 40 20\nin a 0 10\nout y 40 10\n";
 
+    /// Reads under `Strict` and requires a clean report.
+    fn parse(src: &str) -> Template {
+        let (t, report) = doctor_module(src, InputPolicy::Strict).unwrap();
+        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+        t
+    }
+
+    /// The first diagnostic of a `Strict` rejection.
+    fn rejection(src: &str) -> Diagnostic {
+        let e = doctor_module(src, InputPolicy::Strict).unwrap_err();
+        e.diagnostics[0].clone()
+    }
+
     #[test]
     fn parse_scales_to_track_grid() {
-        let t = parse_module(INV).unwrap();
+        let t = parse(INV);
         assert_eq!(t.name(), "inv");
         assert_eq!(t.size(), (4, 2));
         assert_eq!(t.terminal_count(), 2);
@@ -133,37 +69,40 @@ mod tests {
 
     #[test]
     fn round_trip_is_exact() {
-        let t = parse_module(INV).unwrap();
+        let t = parse(INV);
         assert_eq!(write_module(&t), INV);
-        let t2 = parse_module(&write_module(&t)).unwrap();
+        let t2 = parse(&write_module(&t));
         assert_eq!(t, t2);
     }
 
     #[test]
     fn rejects_off_grid_values() {
-        let e = parse_module("module m 45 20\n").unwrap_err();
-        assert!(e.message.contains("divisible by 10"));
-        let e = parse_module("module m 40 20\nin a 0 15\n").unwrap_err();
-        assert!(e.message.contains("divisible by 10"));
+        let d = rejection("module m 45 20\n");
+        assert_eq!(d.code, DoctorCode::OffGridCoordinate);
+        assert!(d.message.contains("divisible by 10"), "{d}");
+        let d = rejection("module m 40 20\nin a 0 15\n");
+        assert_eq!((d.code, d.line), (DoctorCode::OffGridCoordinate, 2));
+        assert!(d.message.contains("divisible by 10"), "{d}");
     }
 
     #[test]
     fn rejects_malformed_records() {
-        assert!(parse_module("").is_err());
-        assert!(parse_module("modul m 40 20\n").is_err());
-        assert!(parse_module("module m 40 20\nin a 0\n").is_err());
-        assert!(parse_module("module m 40 20\nsideways a 0 10\n").is_err());
-        let e = parse_module("module m 40 20\nin a 10 10\n").unwrap_err(); // interior
-        assert!(e.message.contains("outline"), "{e}");
-        assert!(e.column > 0, "outline errors should point at the coordinate");
-        assert!(parse_module("module m 40 20\nin a 50 0\n").is_err()); // outside
-        let e = parse_module("module m 40 20\nin a 0 10\nout a 40 10\n").unwrap_err();
-        assert_eq!(e.line, 3);
+        let strict = |src| doctor_module(src, InputPolicy::Strict);
+        assert!(strict("").is_err());
+        assert!(strict("modul m 40 20\n").is_err());
+        assert!(strict("module m 40 20\nin a 0\n").is_err());
+        assert!(strict("module m 40 20\nsideways a 0 10\n").is_err());
+        let d = rejection("module m 40 20\nin a 10 10\n"); // interior
+        assert_eq!(d.code, DoctorCode::TerminalOffBoundary);
+        assert!(d.message.contains("outline"), "{d}");
+        assert!(strict("module m 40 20\nin a 50 0\n").is_err()); // outside
+        let d = rejection("module m 40 20\nin a 0 10\nout a 40 10\n");
+        assert_eq!((d.code, d.line), (DoctorCode::DuplicateTerminal, 3));
     }
 
     #[test]
     fn comments_allowed() {
-        let t = parse_module("# inverter\nmodule inv 40 20\n\nin a 0 10\n").unwrap();
+        let t = parse("# inverter\nmodule inv 40 20\n\nin a 0 10\n");
         assert_eq!(t.terminal_count(), 1);
     }
 }

@@ -8,9 +8,9 @@
 //! counts instead of exhausting the process. The refusal surfaces as
 //! the doctor's `ND015 resource-exhausted` diagnostic.
 //!
-//! [`read_records`] is the governed sibling of the in-memory record
-//! splitter used by [`crate::format`]: same blank-line and `#`-comment
-//! handling, but fields are owned and accounted.
+//! [`read_records`] is the governed sibling of [`records_from_str`],
+//! the in-memory splitter: both split lines with one function, so they
+//! skip blank lines and `#` comments the same way.
 //!
 //! The `parse.alloc` fault site fires at the charge point, so the
 //! chaos suite can force an allocation refusal even with an unlimited
@@ -26,8 +26,8 @@ use netart_govern::{Exhausted, MemBudget};
 use crate::ParseError;
 
 /// One parsed record: a 1-based line number and its whitespace-split
-/// fields. The raw line is not retained — diagnostics built from
-/// records carry line numbers, not columns.
+/// fields. The raw line is not retained — diagnostics carry line
+/// numbers only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// 1-based line number in the source.
@@ -37,6 +37,20 @@ pub struct Record {
 }
 
 impl Record {
+    /// Splits one line into a record, or `None` for a blank line or a
+    /// `#` comment line (an extension for readability; the paper's
+    /// files contain only records).
+    fn parse(line: usize, text: &str) -> Option<Record> {
+        let trimmed = text.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            return None;
+        }
+        Some(Record {
+            line,
+            fields: trimmed.split_whitespace().map(str::to_owned).collect(),
+        })
+    }
+
     /// The bytes this record keeps alive: its inline struct, the field
     /// vector, and every field's characters.
     pub fn cost(&self) -> u64 {
@@ -221,13 +235,8 @@ pub fn read_records<R: BufRead>(
 ) -> Result<Vec<Record>, IngestError> {
     let mut out: Vec<Record> = Vec::new();
     let result = for_each_line(reader, budget, stage, |line, text| {
-        let trimmed = text.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let Some(record) = Record::parse(line, text) else {
             return Ok(());
-        }
-        let record = Record {
-            line,
-            fields: trimmed.split_whitespace().map(str::to_owned).collect(),
         };
         charge(budget, stage, record.cost())?;
         out.push(record);
@@ -242,14 +251,12 @@ pub fn read_records<R: BufRead>(
 }
 
 /// The in-memory sibling of [`read_records`]: splits an already-loaded
-/// string without touching any budget. Used by the `&str` parser entry
+/// string without touching any budget. Used by the `&str` doctor entry
 /// points, whose inputs are by definition already in memory.
 pub fn records_from_str(src: &str) -> Vec<Record> {
-    crate::format::records(src)
-        .map(|(line, _, fields)| Record {
-            line,
-            fields: fields.into_iter().map(str::to_owned).collect(),
-        })
+    src.lines()
+        .enumerate()
+        .filter_map(|(i, text)| Record::parse(i + 1, text))
         .collect()
 }
 

@@ -89,8 +89,8 @@ impl Net {
 /// terminals `T`, and the `terms`/`type`/`position-terminal`/`net`/`size`
 /// functions) together with its module [`Library`].
 ///
-/// Build one with [`NetworkBuilder`] or parse the Appendix A files via
-/// [`crate::format`].
+/// Build one with [`NetworkBuilder`] or parse the Appendix A files with
+/// [`crate::doctor::doctor_network`].
 #[derive(Debug, Clone)]
 pub struct Network {
     library: Library,

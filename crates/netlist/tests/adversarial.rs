@@ -1,18 +1,25 @@
 //! Adversarial robustness: random byte-level corruption of valid input
-//! files must yield a clean `Err` (or still parse) — the parsers must
-//! never panic, whatever arrives. This is the property backing the
-//! pipeline-hardening guarantee that bad input files fail with a
-//! pointed [`netart_netlist::ParseError`], not a crash.
+//! files must never panic the netlist doctor, under any
+//! [`InputPolicy`]. Every rejection carries at least one error-severity
+//! diagnostic, and an input accepted under `Strict` carries none. This
+//! is the property backing the pipeline-hardening guarantee that bad
+//! input files fail with a pointed diagnostic, not a crash.
 
 use proptest::prelude::*;
 
-use netart_netlist::format::{self, quinto};
+use netart_netlist::doctor::{
+    doctor_module, doctor_network, Diagnostic, DoctorCode, DoctorError, DoctorReport, InputPolicy,
+    Severity,
+};
 use netart_netlist::{Library, Template, TermType};
 
 const QUINTO: &str = "module inv 40 20\nin a 0 10\nout y 40 10\n";
 const NETS: &str = "n0 u0 y\nn0 u1 a\nnin root in\nnin u0 a\nnout u1 y\nnout root out\n";
 const CALLS: &str = "u0 inv\nu1 inv\n";
 const IO: &str = "in in\nout out\n";
+
+const POLICIES: [InputPolicy; 3] =
+    [InputPolicy::Strict, InputPolicy::Repair, InputPolicy::BestEffort];
 
 fn lib() -> Library {
     let mut lib = Library::new();
@@ -46,10 +53,31 @@ fn mutate(src: &str, kind: usize, position: usize, byte: u8) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// The verdict contract: a rejection names at least one error, and a
+/// `Strict` acceptance names none.
+fn check_verdict<T>(
+    policy: InputPolicy,
+    doctored: Result<(T, DoctorReport), DoctorError>,
+) -> Result<(), TestCaseError> {
+    let is_error = |d: &Diagnostic| d.severity == Severity::Error;
+    match doctored {
+        Err(e) => prop_assert!(
+            e.diagnostics.iter().any(is_error),
+            "{policy}: rejection without an error diagnostic: {e}"
+        ),
+        Ok((_, report)) => prop_assert!(
+            policy != InputPolicy::Strict || !report.diagnostics.iter().any(is_error),
+            "strict accepted an input with errors: {:?}",
+            report.diagnostics
+        ),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
-    /// Corrupted quinto module descriptions never panic the parser.
+    /// Corrupted quinto module descriptions never panic the doctor.
     #[test]
     fn quinto_survives_corruption(
         kind in 0usize..4,
@@ -57,11 +85,13 @@ proptest! {
         byte in proptest::prelude::any::<u8>(),
     ) {
         let corrupted = mutate(QUINTO, kind, position, byte);
-        let _ = quinto::parse_module(&corrupted);
+        for policy in POLICIES {
+            check_verdict(policy, doctor_module(&corrupted, policy))?;
+        }
     }
 
-    /// Corrupted Appendix A files never panic the network parser, in
-    /// any combination of which file is corrupted.
+    /// Corrupted Appendix A files never panic the doctor, in any
+    /// combination of which file is corrupted.
     #[test]
     fn network_files_survive_corruption(
         which in 0usize..3,
@@ -74,41 +104,39 @@ proptest! {
             1 => (NETS.to_owned(), mutate(CALLS, kind, position, byte), IO.to_owned()),
             _ => (NETS.to_owned(), CALLS.to_owned(), mutate(IO, kind, position, byte)),
         };
-        let _ = format::parse_network(lib(), &nets, &calls, Some(&io));
+        for policy in POLICIES {
+            check_verdict(policy, doctor_network(lib(), &nets, &calls, Some(&io), policy))?;
+        }
     }
 
     /// Pure garbage — arbitrary short byte strings — never panics
-    /// either parser.
+    /// either entry point.
     #[test]
     fn garbage_never_panics(
         bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
     ) {
         let garbage = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = quinto::parse_module(&garbage);
-        let _ = format::parse_network(lib(), &garbage, &garbage, Some(&garbage));
+        for policy in POLICIES {
+            check_verdict(policy, doctor_module(&garbage, policy))?;
+            let doctored = doctor_network(lib(), &garbage, &garbage, Some(&garbage), policy);
+            check_verdict(policy, doctored)?;
+        }
     }
 }
 
-/// Errors out of corrupted files keep pointing at a line, so the CLI
-/// message stays actionable.
+/// Diagnostics out of corrupted files keep pointing at a line, so the
+/// CLI message stays actionable.
 #[test]
 fn errors_keep_line_context() {
-    let err = format::parse_network(lib(), "n0 u0 y\nn0 zz a\n", CALLS, None)
+    let err = doctor_network(lib(), "n0 u0 y\nn0 zz a\n", CALLS, None, InputPolicy::Strict)
         .expect_err("unknown instance");
-    assert_eq!(err.line, 2);
-    assert!(err.to_string().contains("line 2"), "{err}");
-}
+    let d = &err.diagnostics[0];
+    assert_eq!((d.code, d.line), (DoctorCode::UnknownInstance, 2));
+    assert!(err.to_string().contains("ND005 [net:2] unknown instance `zz`"), "{err}");
 
-/// Field-level errors also carry the offending column.
-#[test]
-fn errors_carry_column_context() {
-    let err = format::parse_network(lib(), "", "u0 missing\n", None)
-        .expect_err("unknown template");
-    assert_eq!(err.line, 1);
-    assert_eq!(err.column, 4, "points at `missing`: {err}");
-    assert!(err.to_string().contains("column 4"), "{err}");
-
-    let err = quinto::parse_module("module inv 40 20\nin a 0 15\n").expect_err("off grid");
-    assert_eq!(err.line, 2);
-    assert_eq!(err.column, 8, "points at `15`: {err}");
+    let err = doctor_module("module inv 40 20\nin a 0 15\n", InputPolicy::Strict)
+        .expect_err("off grid");
+    let d = &err.diagnostics[0];
+    assert_eq!((d.code, d.line), (DoctorCode::OffGridCoordinate, 2));
+    assert!(err.to_string().contains("ND008 [module:2]"), "{err}");
 }

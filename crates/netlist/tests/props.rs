@@ -1,8 +1,10 @@
 //! Property-based tests: random well-formed networks survive the
-//! Appendix A and Appendix B file formats unchanged.
+//! Appendix A and Appendix B file formats unchanged, and the doctor
+//! reads the writers' output back without finding a defect.
 
 use proptest::prelude::*;
 
+use netart_netlist::doctor::{doctor_module, doctor_network, DoctorCode, InputPolicy};
 use netart_netlist::{format, Library, Network, NetworkBuilder, Template, TermType};
 
 /// Strategy for a random template: a legal size and boundary-placed
@@ -137,7 +139,15 @@ proptest! {
         let nets = format::write_net_list_file(&net);
         let mut lib = Library::new();
         lib.add_template(plan.template.clone()).expect("fresh");
-        let back = format::parse_network(lib, &nets, &calls, Some(&io)).expect("round trip");
+        let (back, report) = doctor_network(lib, &nets, &calls, Some(&io), InputPolicy::Strict)
+            .expect("round trip");
+        // Nothing to report but the `ND011` feedback-loop warning, which
+        // is about the random network itself, not about the files.
+        prop_assert!(
+            report.diagnostics.iter().all(|d| d.code == DoctorCode::CyclicDrivers),
+            "{:?}",
+            report.diagnostics
+        );
         prop_assert_eq!(back.module_count(), net.module_count());
         prop_assert_eq!(back.net_count(), net.net_count());
         prop_assert_eq!(back.system_term_count(), net.system_term_count());
@@ -156,7 +166,9 @@ proptest! {
     #[test]
     fn quinto_round_trip(t in template_strategy("any".to_owned())) {
         let text = format::quinto::write_module(&t);
-        let back = format::quinto::parse_module(&text).expect("parses own output");
+        let (back, report) =
+            doctor_module(&text, InputPolicy::Strict).expect("parses own output");
+        prop_assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         prop_assert_eq!(back, t);
     }
 

@@ -1,16 +1,18 @@
 //! The paper's file-based workflow (Appendices A, B and D): module
 //! descriptions go through *quinto* into the library, the network
 //! arrives as net-list / call / io files, and the finished diagram is
-//! written in the ESCHER record format.
+//! written in the ESCHER record format. Both inputs are read by the
+//! netlist doctor under the strict policy, as the command-line tools
+//! do by default.
 //!
 //! ```sh
-//! cargo run --example netlist_files
+//! cargo run --example netlist_files   # writes latch_pair.esc here
 //! ```
 
 use std::error::Error;
 
 use netart::diagram::escher;
-use netart::netlist::format::{self, quinto};
+use netart::netlist::doctor::{doctor_module, doctor_network, InputPolicy};
 use netart::netlist::Library;
 use netart::Generator;
 
@@ -63,7 +65,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // quinto: build the module library from the descriptions.
     let mut lib = Library::new();
     for src in MODULES {
-        let template = quinto::parse_module(src)?;
+        let (template, _) = doctor_module(src, InputPolicy::Strict)?;
         println!(
             "quinto: added `{}` ({}x{}, {} terminals)",
             template.name(),
@@ -75,7 +77,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // pablo's input: the three Appendix A files.
-    let network = format::parse_network(lib, NET_LIST, CALL_FILE, Some(IO_FILE))?;
+    let (network, report) =
+        doctor_network(lib, NET_LIST, CALL_FILE, Some(IO_FILE), InputPolicy::Strict)?;
+    for d in &report.diagnostics {
+        println!("doctor: {d}");
+    }
     println!(
         "parsed network: {} modules, {} nets, {} system terminals",
         network.module_count(),

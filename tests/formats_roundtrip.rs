@@ -1,24 +1,40 @@
 //! Round-trip tests for the Appendix A/B/D file formats across the
-//! whole pipeline: write a network to its record files, read it back,
-//! generate, write the diagram, read it back.
+//! whole pipeline: write a network to its record files, read it back
+//! through the doctor, generate, write the diagram, read it back.
 
 use netart::diagram::escher;
-use netart::netlist::format;
+use netart::netlist::doctor::{self, DoctorCode, DoctorFile, InputPolicy};
+use netart::netlist::{format, Network};
 use netart::Generator;
 use netart_workloads::{controller_cluster, life, string_chain};
 
-fn library_of(net: &netart::netlist::Network) -> netart::netlist::Library {
-    net.library().clone()
+/// Writes `net` as Appendix A files and reads them back under `Strict`.
+/// The doctor must find nothing to report but the `ND011` feedback-loop
+/// warning, which is about the design itself, not about the files.
+fn round_trip(net: &Network) -> Network {
+    let calls = format::write_call_file(net);
+    let io = format::write_io_file(net);
+    let nets = format::write_net_list_file(net);
+    let (restored, report) = doctor::doctor_network(
+        net.library().clone(),
+        &nets,
+        &calls,
+        Some(&io),
+        InputPolicy::Strict,
+    )
+    .expect("round trip parses");
+    assert!(
+        report.diagnostics.iter().all(|d| d.code == DoctorCode::CyclicDrivers),
+        "{:?}",
+        report.diagnostics
+    );
+    restored
 }
 
 #[test]
 fn appendix_a_round_trip_on_all_workloads() {
     for net in [string_chain(6), controller_cluster(), life::network()] {
-        let calls = format::write_call_file(&net);
-        let io = format::write_io_file(&net);
-        let nets = format::write_net_list_file(&net);
-        let restored = format::parse_network(library_of(&net), &nets, &calls, Some(&io))
-            .expect("round trip parses");
+        let restored = round_trip(&net);
         assert_eq!(restored.module_count(), net.module_count());
         assert_eq!(restored.net_count(), net.net_count());
         assert_eq!(restored.system_term_count(), net.system_term_count());
@@ -37,10 +53,7 @@ fn appendix_a_round_trip_on_all_workloads() {
 #[test]
 fn parsed_network_generates_identically() {
     let net = controller_cluster();
-    let calls = format::write_call_file(&net);
-    let io = format::write_io_file(&net);
-    let nets = format::write_net_list_file(&net);
-    let reparsed = format::parse_network(library_of(&net), &nets, &calls, Some(&io)).unwrap();
+    let reparsed = round_trip(&net);
 
     let a = Generator::strings().generate(net);
     let b = Generator::strings().generate(reparsed);
@@ -53,7 +66,9 @@ fn quinto_round_trip_for_every_library_template() {
     let net = life::network();
     for (_, tpl) in net.library().iter() {
         let text = format::quinto::write_module(tpl);
-        let back = format::quinto::parse_module(&text).expect("quinto parses its own output");
+        let (back, report) = doctor::doctor_module(&text, InputPolicy::Strict)
+            .expect("quinto parses its own output");
+        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         assert_eq!(&back, tpl, "template {}", tpl.name());
     }
 }
@@ -95,7 +110,6 @@ fn escher_reload_can_seed_rerouting() {
 
 mod escher_fixed_point {
     use super::*;
-    use netart::netlist::doctor::{self, InputPolicy};
     use proptest::prelude::*;
 
     const MODULE_SRC: &str = "module inv 40 20\nin a 0 10\nout y 40 10\n";
@@ -154,14 +168,16 @@ mod escher_fixed_point {
 #[test]
 fn malformed_inputs_are_rejected_with_line_numbers() {
     let net = string_chain(2);
-    let e = format::parse_network(
-        library_of(&net),
+    let e = doctor::doctor_network(
+        net.library().clone(),
         "n0 u0 y\nn0 u1 a\n",
         "u0 buf\nmalformed\n",
         None,
+        InputPolicy::Strict,
     )
     .unwrap_err();
-    assert_eq!(e.line, 2);
+    let d = &e.diagnostics[0];
+    assert_eq!((d.code, d.file, d.line), (DoctorCode::MalformedRecord, DoctorFile::Calls, 2));
 
     let e = escher::parse_diagram(net, "#WRONG-HEADER\n").unwrap_err();
     assert_eq!(e.line, 1);
