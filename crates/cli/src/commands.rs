@@ -62,9 +62,10 @@ pub(crate) fn cli_degradation(kind: &str, stage: Option<String>, detail: String)
 }
 
 /// Folds a doctor report into degradation records: one per applied
-/// repair, and one per defect the best-effort policy skipped.
-pub(crate) fn doctor_degradations(
-    source: &Path,
+/// repair, and one per defect the best-effort policy skipped, each
+/// labelled with the path `source` gives for the diagnostic's file.
+pub(crate) fn doctor_degradations<'a>(
+    source: impl Fn(DoctorFile) -> &'a Path,
     report: &doctor::DoctorReport,
     degs: &mut Vec<DegradationReport>,
 ) {
@@ -73,7 +74,7 @@ pub(crate) fn doctor_degradations(
             degs.push(cli_degradation(
                 "doctor_repair",
                 Some(d.code.as_str().to_owned()),
-                format!("{}: {d}", source.display()),
+                format!("{}: {d}", source(d.file).display()),
             ));
         }
     }
@@ -335,7 +336,7 @@ pub(crate) fn load_library_dir(
             path: p.clone(),
             message: e.to_string(),
         })?;
-        doctor_degradations(&p, &report, degs);
+        doctor_degradations(|_| &p, &report, degs);
         let name = template.name().to_owned();
         if lib.add_template(template).is_err() {
             // Two .qto files declare the same module name.
@@ -428,18 +429,20 @@ pub(crate) fn load_network_files(
     // The records were consumed by the doctor; what survives is the
     // network, accounted on the network budget.
     budgets.input.release(kept);
+    // The input file a diagnostic is about.
+    let path_of = |file: DoctorFile| match file {
+        DoctorFile::Calls => calls_path,
+        DoctorFile::Io => io_path.unwrap_or(net_list_path),
+        _ => net_list_path,
+    };
     let (network, report) = doctored.map_err(|e| {
         // Attribute the rejection to the first defective file.
-        let which = e
-            .diagnostics
-            .iter()
-            .find(|d| d.severity == Severity::Error)
-            .map_or(DoctorFile::NetList, |d| d.file);
-        let path = match which {
-            DoctorFile::Calls => calls_path,
-            DoctorFile::Io => io_path.unwrap_or(net_list_path),
-            _ => net_list_path,
-        };
+        let path = path_of(
+            e.diagnostics
+                .iter()
+                .find(|d| d.severity == Severity::Error)
+                .map_or(DoctorFile::NetList, |d| d.file),
+        );
         if e.diagnostics
             .iter()
             .any(|d| d.code == DoctorCode::ResourceExhausted)
@@ -455,7 +458,7 @@ pub(crate) fn load_network_files(
             }
         }
     })?;
-    doctor_degradations(net_list_path, &report, &mut degs);
+    doctor_degradations(path_of, &report, &mut degs);
     Ok((network, degs))
 }
 

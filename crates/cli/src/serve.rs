@@ -330,7 +330,7 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         &parse_budget,
     ) {
         Ok((network, report)) => {
-            doctor_degradations(Path::new("request"), &report, &mut degs);
+            doctor_degradations(|_| Path::new("request"), &report, &mut degs);
             network
         }
         Err(e) => {

@@ -337,6 +337,55 @@ fn report_diff_exits_three_on_injected_regression() {
     let _ = fs::remove_dir_all(dir);
 }
 
+/// A defect the doctor repairs in the call file is reported against
+/// the call file, both in the printed warning and in the run
+/// report's degradation, not against the net-list file.
+#[test]
+fn repaired_call_file_defect_names_the_call_file() {
+    let dir = scratch("repair-attr");
+    let (lib, nets, calls, io) = write_inputs(&dir);
+    // A duplicate instance: repaired by keeping the first declaration.
+    fs::write(&calls, format!("{CALL_SRC}u1 inv\n")).unwrap();
+    let out = dir.join("out").to_string_lossy().into_owned();
+    let report = dir.join("report.json");
+    let run = netart(&[
+        "-L",
+        &lib,
+        "-o",
+        &out,
+        "--input-policy",
+        "repair",
+        "--report-json",
+        report.to_str().unwrap(),
+        &nets,
+        &calls,
+        &io,
+    ]);
+    assert_eq!(run.status.code(), Some(2), "a repair degrades the run: {run:?}");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let warning = stdout
+        .lines()
+        .find(|l| l.starts_with("warning:") && l.contains("ND002"))
+        .unwrap_or_else(|| panic!("no duplicate-instance warning: {stdout}"));
+    assert!(warning.contains(&format!("{calls}: ")), "{warning}");
+    assert!(!warning.contains(&nets), "{warning}");
+
+    let doc = Json::parse(&fs::read_to_string(&report).expect("report written"))
+        .expect("report parses");
+    let details: Vec<&str> = doc
+        .get("degradations")
+        .and_then(Json::as_arr)
+        .expect("degradations array")
+        .iter()
+        .filter_map(|d| d.get("detail").and_then(Json::as_str))
+        .collect();
+    assert!(
+        details.iter().any(|d| d.starts_with(&format!("{calls}: ND002"))),
+        "{details:?}"
+    );
+    let _ = fs::remove_dir_all(dir);
+}
+
 /// The profile acceptance criterion: `netart profile --heat-json`
 /// emits a schema-versioned document built purely from deterministic
 /// counters, so two runs over the same design must be bit-identical

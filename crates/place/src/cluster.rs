@@ -6,6 +6,8 @@
 //! most connected to the placed ones at the free position minimising
 //! the distance between the two gravity centres.
 
+use std::collections::BinaryHeap;
+
 use netart_geom::{Point, Rect};
 use netart_netlist::NetId;
 
@@ -14,7 +16,7 @@ use crate::gravity::{centroid, GravityField};
 /// One rectangle to place, with the net-connected terminal points it
 /// contains (in cluster-local coordinates).
 #[derive(Debug, Clone)]
-pub(crate) struct Cluster {
+pub struct Cluster {
     /// Bounding size.
     pub size: (i32, i32),
     /// `(net, local position)` for every connected terminal inside.
@@ -24,21 +26,133 @@ pub(crate) struct Cluster {
     pub weight: usize,
 }
 
-impl Cluster {
-    fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.terms.iter().map(|&(n, _)| n)
-    }
+/// What the placed clusters contribute to one net: whether any of them
+/// has a terminal on it, and the exact coordinate sums of those
+/// terminals.
+#[derive(Debug, Clone, Copy, Default)]
+struct NetSum {
+    placed: bool,
+    x: i64,
+    y: i64,
+    count: i64,
+}
 
-    /// Number of distinct nets shared with a placed set's net
-    /// collection.
-    fn shared_net_count(&self, placed_nets: &[NetId]) -> usize {
-        let mut nets: Vec<NetId> = self
-            .nets()
-            .filter(|n| placed_nets.binary_search(n).is_ok())
-            .collect();
+/// The state of the placement loop.
+///
+/// Each step places the unplaced cluster sharing the most distinct nets
+/// with the placed ones (ties: heavier, then lower index). A cluster's
+/// shared-net count is bumped when one of its nets is first placed,
+/// and the pick comes from a lazy max-heap on `(shared, weight, MAX -
+/// index)`: an entry is stale once its cluster is placed or its count
+/// has grown past it.
+struct Progress<'a> {
+    clusters: &'a [Cluster],
+    positions: Vec<Option<Point>>,
+    /// The distinct nets of all clusters, sorted: a net's slot in the
+    /// per-net tables below is its index here.
+    nets: Vec<NetId>,
+    /// The clusters with a terminal on each net.
+    on_net: Vec<Vec<usize>>,
+    sums: Vec<NetSum>,
+    shared: Vec<usize>,
+    queue: BinaryHeap<(usize, usize, usize)>,
+}
+
+impl<'a> Progress<'a> {
+    fn new(clusters: &'a [Cluster]) -> Self {
+        let mut nets: Vec<NetId> = clusters.iter().flat_map(|c| &c.terms).map(|&(n, _)| n).collect();
         nets.sort_unstable();
         nets.dedup();
-        nets.len()
+        let mut progress = Progress {
+            clusters,
+            positions: vec![None; clusters.len()],
+            on_net: vec![Vec::new(); nets.len()],
+            sums: vec![NetSum::default(); nets.len()],
+            nets,
+            shared: vec![0; clusters.len()],
+            queue: BinaryHeap::new(),
+        };
+        for (i, c) in clusters.iter().enumerate() {
+            for &(n, _) in &c.terms {
+                let slot = progress.slot(n);
+                let list = &mut progress.on_net[slot];
+                if list.last() != Some(&i) {
+                    list.push(i);
+                }
+            }
+        }
+        progress.queue = (0..clusters.len()).map(|i| progress.key(i)).collect();
+        progress
+    }
+
+    fn slot(&self, n: NetId) -> usize {
+        self.nets.binary_search(&n).expect("net of a cluster")
+    }
+
+    fn key(&self, i: usize) -> (usize, usize, usize) {
+        (self.shared[i], self.clusters[i].weight, usize::MAX - i)
+    }
+
+    /// The unplaced cluster to place next.
+    fn next(&mut self) -> usize {
+        while let Some(top) = self.queue.pop() {
+            let i = usize::MAX - top.2;
+            if self.positions[i].is_none() && top == self.key(i) {
+                return i;
+            }
+        }
+        unreachable!("unplaced cluster remains")
+    }
+
+    /// Records cluster `i` at `pos`.
+    fn settle(&mut self, i: usize, pos: Point) {
+        self.positions[i] = Some(pos);
+        for &(n, p) in &self.clusters[i].terms {
+            let slot = self.slot(n);
+            let at = pos + p;
+            let sum = &mut self.sums[slot];
+            sum.x += i64::from(at.x);
+            sum.y += i64::from(at.y);
+            sum.count += 1;
+            if !std::mem::replace(&mut sum.placed, true) {
+                for k in 0..self.on_net[slot].len() {
+                    let j = self.on_net[slot][k];
+                    if self.positions[j].is_none() {
+                        self.shared[j] += 1;
+                        let key = self.key(j);
+                        self.queue.push(key);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gravity pair of cluster `i`: the centroid of its terminals on
+    /// nets shared with the placed clusters, and the centroid of the
+    /// placed terminals on those nets. `None` without shared nets.
+    fn gravity_pair(&self, i: usize) -> Option<(Point, Point)> {
+        let terms = &self.clusters[i].terms;
+        let mut shared: Vec<usize> = terms
+            .iter()
+            .map(|&(n, _)| self.slot(n))
+            .filter(|&s| self.sums[s].placed)
+            .collect();
+        let g0 = centroid(
+            &terms
+                .iter()
+                .filter(|&&(n, _)| self.sums[self.slot(n)].placed)
+                .map(|&(_, p)| p)
+                .collect::<Vec<_>>(),
+        )?;
+        shared.sort_unstable();
+        shared.dedup();
+        let (mut x, mut y, mut count) = (0i64, 0i64, 0i64);
+        for s in shared {
+            let sum = &self.sums[s];
+            (x, y, count) = (x + sum.x, y + sum.y, count + sum.count);
+        }
+        let g1 = Point::new(x.div_euclid(count) as i32, y.div_euclid(count) as i32);
+        Some((g0, g1))
     }
 }
 
@@ -48,7 +162,7 @@ impl Cluster {
 /// `anchored` optionally pins one cluster at a fixed origin (used for a
 /// preplaced part, Appendix E `-g`); otherwise the heaviest cluster
 /// anchors at the origin.
-pub(crate) fn place_clusters(
+pub fn place_clusters(
     clusters: &[Cluster],
     spacing: i32,
     anchored: Option<(usize, Point)>,
@@ -61,7 +175,7 @@ pub(crate) fn place_clusters(
     );
     let _gravity_guard = gravity_span.enter();
     netart_fault::fire_hard(netart_fault::sites::PLACE_GRAVITY);
-    let mut positions: Vec<Option<Point>> = vec![None; clusters.len()];
+    let mut progress = Progress::new(clusters);
     let mut field = GravityField::new(spacing);
 
     let (first, first_pos) = anchored.unwrap_or_else(|| {
@@ -71,72 +185,29 @@ pub(crate) fn place_clusters(
             .expect("non-empty");
         (first, Point::ORIGIN)
     });
-    positions[first] = Some(first_pos);
     field.occupy(Rect::new(first_pos, clusters[first].size.0, clusters[first].size.1));
-
-    // All nets appearing in already-placed clusters, sorted for lookup.
-    let mut placed_nets: Vec<NetId> = clusters[first].nets().collect();
-    placed_nets.sort_unstable();
-    placed_nets.dedup();
+    progress.settle(first, first_pos);
 
     for _ in 1..clusters.len() {
-        let next = (0..clusters.len())
-            .filter(|&i| positions[i].is_none())
-            .max_by_key(|&i| {
-                (
-                    clusters[i].shared_net_count(&placed_nets),
-                    clusters[i].weight,
-                    usize::MAX - i,
-                )
-            })
-            .expect("unplaced cluster remains");
-
-        // Gravity pair over the shared nets.
-        let shared: Vec<NetId> = clusters[next]
-            .nets()
-            .filter(|n| placed_nets.binary_search(n).is_ok())
-            .collect();
-        let is_shared = |n: NetId| shared.contains(&n);
-
-        let g0 = centroid(
-            &clusters[next]
-                .terms
-                .iter()
-                .filter(|&&(n, _)| is_shared(n))
-                .map(|&(_, p)| p)
-                .collect::<Vec<_>>(),
-        );
-        let g1_points: Vec<Point> = positions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, pos)| pos.map(|p| (i, p)))
-            .flat_map(|(i, pos)| {
-                clusters[i]
-                    .terms
-                    .iter()
-                    .filter(|&&(n, _)| is_shared(n))
-                    .map(move |&(_, p)| pos + p)
-            })
-            .collect();
-        let g1 = centroid(&g1_points);
-
-        let desired = match (g0, g1) {
-            (Some(g0), Some(g1)) => g1 - g0,
+        let next = progress.next();
+        let size = clusters[next].size;
+        let desired = match progress.gravity_pair(next) {
+            Some((g0, g1)) => g1 - g0,
             // No shared nets: aim at the centre of what is placed.
-            _ => {
+            None => {
                 let b = field.bounding().expect("anchor placed");
-                b.center()
-                    - Point::new(clusters[next].size.0 / 2, clusters[next].size.1 / 2)
+                b.center() - Point::new(size.0 / 2, size.1 / 2)
             }
         };
-        let pos = field.place(clusters[next].size, desired);
-        positions[next] = Some(pos);
-        placed_nets.extend(clusters[next].nets());
-        placed_nets.sort_unstable();
-        placed_nets.dedup();
+        let pos = field.place(size, desired);
+        progress.settle(next, pos);
     }
 
-    positions.into_iter().map(|p| p.expect("all placed")).collect()
+    progress
+        .positions
+        .into_iter()
+        .map(|p| p.expect("all placed"))
+        .collect()
 }
 
 #[cfg(test)]

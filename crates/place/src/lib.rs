@@ -62,6 +62,16 @@ mod pablo;
 mod partition;
 mod terminal_place;
 
+/// PABLO's gravity building blocks, exposed so the differential tests
+/// under `tests/` can compare them with reference implementations. Not
+/// a stable API.
+#[doc(hidden)]
+pub mod internals {
+    pub use crate::cluster::{place_clusters, Cluster};
+    pub use crate::gravity::GravityField;
+    pub use crate::terminal_place::place_system_terminals;
+}
+
 pub use boxes::{construct_roots, form_boxes};
 pub use config::PlaceConfig;
 pub use module_place::{layout_box, BoxLayout};

@@ -6,7 +6,10 @@
 //! the cluster, until the partition size limit or the outgoing-net limit
 //! is exceeded.
 
-use netart_netlist::{ModuleId, Network};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+
+use netart_netlist::{ModuleId, NetId, Network};
 
 use crate::PlaceConfig;
 
@@ -36,80 +39,272 @@ impl Partitioning {
     }
 }
 
-/// `TAKE_A_SEED`: the free module with the most connections to the
-/// other free modules; ties broken by fewest connections to modules
-/// already absorbed into partitions, then by lowest id (the paper's
-/// "arbitrary choice", made deterministic).
-fn take_a_seed(network: &Network, free: &[ModuleId]) -> ModuleId {
-    let is_free = |m: ModuleId| free.contains(&m);
-    *free
-        .iter()
-        .min_by_key(|&&m| {
-            let to_free = network.connection_count_to_set(m, is_free);
-            let to_placed = network.connection_count_to_set(m, |o| !is_free(o));
-            // max to_free, then min to_placed, then min id.
-            (usize::MAX - to_free, to_placed, m)
-        })
-        .expect("take_a_seed requires at least one free module")
+/// The free pool and the bookkeeping that makes every pick of
+/// `TAKE_A_SEED` and `FORM_PARTITION` incremental.
+///
+/// A module's connection counts change only when a net's membership
+/// crosses a threshold, so each count is kept per module and updated
+/// when a module leaves the free pool or joins the growing partition.
+/// Picks come from lazy min-heaps keyed exactly as the paper's
+/// tie-breaks: an entry is stale once its module has left the pool or
+/// its counts have moved.
+struct Pool<'a> {
+    network: &'a Network,
+    free: Vec<bool>,
+    free_left: usize,
+    /// Free modules on each net.
+    free_on_net: Vec<usize>,
+    /// Nets of a module with another free module on them.
+    to_free: Vec<usize>,
+    /// Nets of a module with a module on them that is not free.
+    to_placed: Vec<usize>,
+    /// `(usize::MAX - to_free, to_placed, m)`, least first.
+    seeds: BinaryHeap<Reverse<(usize, usize, ModuleId)>>,
+    /// Free modules by `(nets with another module, id)`: the pick of
+    /// `FORM_PARTITION` when nothing free touches the partition.
+    unrelated: Option<BTreeSet<(usize, ModuleId)>>,
+    growth: Growth,
 }
 
-/// Number of nets leaving `partition` towards other modules of the
-/// network (the paper's `connections` counter in `FORM_PARTITION`).
-fn external_connections(network: &Network, partition: &[ModuleId]) -> usize {
-    let mut nets: Vec<_> = partition
+/// The partition being formed.
+#[derive(Default)]
+struct Growth {
+    members: Vec<bool>,
+    /// Partition members on each net.
+    on_net: Vec<usize>,
+    /// Nets with a member and a module outside the partition.
+    external: usize,
+    /// Nets of a free module with a member on them.
+    inward: Vec<usize>,
+    /// Nets of a free module with another module outside the partition.
+    outward: Vec<usize>,
+    /// `(usize::MAX - inward, outward, m)` over free modules with
+    /// `inward > 0`, least first.
+    candidates: BinaryHeap<Reverse<(usize, usize, ModuleId)>>,
+    touched_nets: Vec<NetId>,
+    touched_modules: Vec<ModuleId>,
+}
+
+/// Nets of `m` shared with at least one other module.
+fn linked_nets(network: &Network, m: ModuleId) -> usize {
+    network
+        .module_nets(m)
         .iter()
-        .flat_map(|&m| network.module_nets(m).iter().copied())
-        .collect();
-    nets.sort_unstable();
-    nets.dedup();
-    nets.into_iter()
-        .filter(|&n| {
-            network
-                .net_modules(n)
-                .iter()
-                .any(|m| !partition.contains(m))
-        })
+        .filter(|&&n| network.net_modules(n).len() > 1)
         .count()
 }
 
-/// `FORM_PARTITION`: grows a cluster around `seed` from the `free` pool
-/// (which must not contain `seed`), removing absorbed modules from
-/// `free`.
-fn form_partition(
-    network: &Network,
-    free: &mut Vec<ModuleId>,
-    seed: ModuleId,
-    config: &PlaceConfig,
-) -> Vec<ModuleId> {
-    let mut partition = vec![seed];
-    loop {
-        if free.is_empty() || partition.len() >= config.max_part_size {
-            break;
+impl<'a> Pool<'a> {
+    fn new(network: &'a Network, free: &[ModuleId], config: &PlaceConfig) -> Self {
+        let (modules, nets) = (network.module_count(), network.net_count());
+        let mut pool = Pool {
+            network,
+            free: vec![false; modules],
+            free_left: free.len(),
+            free_on_net: vec![0; nets],
+            to_free: vec![0; modules],
+            to_placed: vec![0; modules],
+            seeds: BinaryHeap::new(),
+            unrelated: (!config.stop_on_zero_affinity).then(BTreeSet::new),
+            growth: Growth {
+                members: vec![false; modules],
+                on_net: vec![0; nets],
+                inward: vec![0; modules],
+                outward: vec![0; modules],
+                ..Growth::default()
+            },
+        };
+        for &m in free {
+            pool.free[m.index()] = true;
+            for &n in network.module_nets(m) {
+                pool.free_on_net[n.index()] += 1;
+            }
         }
-        if external_connections(network, &partition) >= config.max_connections {
-            break;
+        for &m in free {
+            for &n in network.module_nets(m) {
+                let on = pool.free_on_net[n.index()];
+                pool.to_free[m.index()] += usize::from(on > 1);
+                pool.to_placed[m.index()] += usize::from(network.net_modules(n).len() > on);
+            }
+            pool.push_seed(m);
+            if let Some(set) = &mut pool.unrelated {
+                set.insert((linked_nets(network, m), m));
+            }
         }
-        // Most connections into the partition; tie-break fewest to the
-        // outside; then lowest id.
-        let (idx, best) = free
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &m)| {
-                let inward = network.connection_count_to_set(m, |o| partition.contains(&o));
-                let outward = network.connection_count_to_set(m, |o| !partition.contains(&o));
-                (usize::MAX - inward, outward, m)
-            })
-            .map(|(i, &m)| (i, m))
-            .expect("free checked non-empty");
-        if config.stop_on_zero_affinity
-            && network.connection_count_to_set(best, |o| partition.contains(&o)) == 0
-        {
-            break;
-        }
-        free.swap_remove(idx);
-        partition.push(best);
+        pool
     }
-    partition
+
+    fn seed_key(&self, m: ModuleId) -> (usize, usize, ModuleId) {
+        (usize::MAX - self.to_free[m.index()], self.to_placed[m.index()], m)
+    }
+
+    fn push_seed(&mut self, m: ModuleId) {
+        let key = self.seed_key(m);
+        self.seeds.push(Reverse(key));
+    }
+
+    /// `TAKE_A_SEED`: the free module with the most connections to the
+    /// other free modules; ties broken by fewest connections to modules
+    /// already absorbed into partitions (or not being partitioned),
+    /// then by lowest id (the paper's "arbitrary choice", made
+    /// deterministic).
+    fn take_a_seed(&mut self) -> ModuleId {
+        while let Some(Reverse(key)) = self.seeds.pop() {
+            let m = key.2;
+            if self.free[m.index()] && key == self.seed_key(m) {
+                return m;
+            }
+        }
+        unreachable!("take_a_seed requires at least one free module")
+    }
+
+    /// Removes `x` from the free pool.
+    fn take(&mut self, x: ModuleId) {
+        let network = self.network;
+        self.free[x.index()] = false;
+        self.free_left -= 1;
+        if let Some(set) = &mut self.unrelated {
+            set.remove(&(linked_nets(network, x), x));
+        }
+        for &n in network.module_nets(x) {
+            let ms = network.net_modules(n);
+            let was = self.free_on_net[n.index()];
+            self.free_on_net[n.index()] = was - 1;
+            let lost_partner = was == 2;
+            let first_taken = was == ms.len();
+            if !(lost_partner || first_taken) {
+                continue;
+            }
+            for &o in ms {
+                if !self.free[o.index()] {
+                    continue;
+                }
+                self.to_free[o.index()] -= usize::from(lost_partner);
+                self.to_placed[o.index()] += usize::from(first_taken);
+                self.push_seed(o);
+            }
+        }
+    }
+
+    fn candidate_key(&self, m: ModuleId) -> (usize, usize, ModuleId) {
+        let g = &self.growth;
+        (usize::MAX - g.inward[m.index()], g.outward[m.index()], m)
+    }
+
+    fn push_candidate(&mut self, m: ModuleId) {
+        let key = self.candidate_key(m);
+        self.growth.candidates.push(Reverse(key));
+    }
+
+    /// Adds `x` (no longer free) to the partition being formed.
+    fn absorb(&mut self, x: ModuleId) {
+        let network = self.network;
+        self.growth.members[x.index()] = true;
+        for &n in network.module_nets(x) {
+            let ms = network.net_modules(n);
+            let g = &mut self.growth;
+            g.on_net[n.index()] += 1;
+            let on = g.on_net[n.index()];
+            if on == 1 {
+                g.touched_nets.push(n);
+                g.external += usize::from(ms.len() > 1);
+                for &o in ms {
+                    if !self.free[o.index()] {
+                        continue;
+                    }
+                    let g = &mut self.growth;
+                    if g.inward[o.index()] == 0 {
+                        g.outward[o.index()] = linked_nets(network, o);
+                        g.touched_modules.push(o);
+                    }
+                    g.inward[o.index()] += 1;
+                    self.push_candidate(o);
+                }
+            }
+            let g = &mut self.growth;
+            if on == ms.len() && on > 1 {
+                g.external -= 1;
+            }
+            if on + 1 == ms.len() {
+                // One module is left outside: the net no longer links
+                // it to anything outside.
+                let last = *ms
+                    .iter()
+                    .find(|o| !g.members[o.index()])
+                    .expect("one module outside");
+                if self.free[last.index()] {
+                    self.growth.outward[last.index()] -= 1;
+                    self.push_candidate(last);
+                }
+            }
+        }
+    }
+
+    /// The free module with the most connections into the partition;
+    /// ties broken by fewest connections to the outside, then by lowest
+    /// id. `None` when no free module touches the partition.
+    fn best_candidate(&mut self) -> Option<ModuleId> {
+        while let Some(&Reverse(key)) = self.growth.candidates.peek() {
+            let m = key.2;
+            if self.free[m.index()] && key == self.candidate_key(m) {
+                return Some(m);
+            }
+            self.growth.candidates.pop();
+        }
+        None
+    }
+
+    /// Clears the partition bookkeeping for the next one.
+    fn reset_growth(&mut self, partition: &[ModuleId]) {
+        let g = &mut self.growth;
+        for &m in partition {
+            g.members[m.index()] = false;
+        }
+        for n in g.touched_nets.drain(..) {
+            g.on_net[n.index()] = 0;
+        }
+        for m in g.touched_modules.drain(..) {
+            g.inward[m.index()] = 0;
+            g.outward[m.index()] = 0;
+        }
+        g.external = 0;
+        g.candidates.clear();
+    }
+
+    /// `FORM_PARTITION`: grows a cluster around `seed` (already taken
+    /// from the pool), absorbing free modules until the size limit or
+    /// the outgoing-net limit is reached.
+    fn form_partition(&mut self, seed: ModuleId, config: &PlaceConfig) -> Vec<ModuleId> {
+        let mut partition = vec![seed];
+        loop {
+            if self.free_left == 0 || partition.len() >= config.max_part_size {
+                break;
+            }
+            if partition.len() == 1 {
+                self.absorb(seed);
+            }
+            if self.growth.external >= config.max_connections {
+                break;
+            }
+            let best = match self.best_candidate() {
+                Some(m) => m,
+                // Nothing free touches the partition.
+                None if config.stop_on_zero_affinity => break,
+                None => {
+                    self.unrelated
+                        .as_ref()
+                        .and_then(|set| set.first())
+                        .expect("a free module remains")
+                        .1
+                }
+            };
+            self.take(best);
+            self.absorb(best);
+            partition.push(best);
+        }
+        self.reset_growth(&partition);
+        partition
+    }
 }
 
 /// Partitions the given modules of a network into functional parts.
@@ -125,11 +320,12 @@ pub fn partition(
     let mut free: Vec<ModuleId> = modules.into_iter().collect();
     free.sort_unstable();
     free.dedup();
+    let mut pool = Pool::new(network, &free, config);
     let mut partitions = Vec::new();
-    while !free.is_empty() {
-        let seed = take_a_seed(network, &free);
-        free.retain(|&m| m != seed);
-        partitions.push(form_partition(network, &mut free, seed, config));
+    while pool.free_left > 0 {
+        let seed = pool.take_a_seed();
+        pool.take(seed);
+        partitions.push(pool.form_partition(seed, config));
     }
     Partitioning { partitions }
 }
